@@ -13,21 +13,14 @@ and checks the properties the fleet runtime must hold:
 * convergence lag opens while edits are committed (replicas off the
   live push path) and closes on catch-up replay;
 * flow-hash routing spreads the fleet's traffic across every gateway;
-* the real ``multiprocessing`` shard backends (fork-per-batch and the
-  persistent worker pool) produce verdicts identical to the sequential
-  model, and on multi-core hosts beat it in measured wall-clock on the
-  10k-packet replay;
-* the persistent pool amortizes worker setup across the batched replay,
-  so it beats fork-per-batch wall-clock on multi-core hosts and its
-  amortized per-batch IPC cost lands in BENCH_fleet.json next to the
-  fork backend's per-batch setup cost;
+* the persistent worker-pool shard backend produces verdicts identical
+  to the sequential model, and on multi-core hosts beats it in measured
+  wall-clock on the 10k-packet replay; its amortized per-batch IPC cost
+  lands in BENCH_fleet.json next to both measured walls;
 * a gateway attaching after heavy policy churn bootstraps from the
   compacted log's snapshot in O(suffix) records — never more than
   suffix + 1 — instead of replaying the full history, and still lands
-  on the head fingerprint with verdict-identical enforcement;
-* the adaptive batch scheduler replaces the hand-tuned static 16-burst
-  split without giving back throughput: verdict-identical by
-  construction, and at least as fast on multi-core hosts.
+  on the head fingerprint with verdict-identical enforcement.
 
 Run with:  pytest benchmarks/test_bench_fleet.py --benchmark-only
 Smoke mode (CI): set FLEET_BENCH_PACKETS to a smaller replay size.
@@ -45,7 +38,6 @@ from repro.experiments.fleet import (
     available_cpus,
     run_fleet_bench,
     run_late_joiner_bench,
-    run_scheduler_comparison,
     run_shard_backend_comparison,
 )
 
@@ -65,7 +57,7 @@ timing_sensitive = pytest.mark.skipif(
 )
 
 #: Real fork parallelism needs real cores; on a single-CPU host the
-#: process backend can only demonstrate verdict identity, not speedup.
+#: pool backend can only demonstrate verdict identity, not speedup.
 multicore = pytest.mark.skipif(
     available_cpus() < 2,
     reason="multiprocessing speedup needs at least two schedulable CPUs",
@@ -213,24 +205,16 @@ def test_late_joiner_converges_and_matches_head_verdicts(late_joiner_result):
     assert late_joiner_result.verdicts_match
 
 
-def test_process_backend_verdict_identical(backend_result):
+def test_pool_backend_verdict_identical(backend_result):
     assert backend_result.packets == PACKETS
-    # One flag covers all three backends: sequential, fork-per-batch
-    # and the persistent pool must agree packet for packet.
+    # The sequential model and the persistent pool must agree packet
+    # for packet.
     assert backend_result.verdicts_match
 
 
-@timing_sensitive
-@multicore
-def test_process_backend_beats_sequential_wall_clock(backend_result):
-    # The acceptance bar for the modelled parallel speedup: the real
-    # fork backend must win on actual wall-clock, not just in the model.
-    assert backend_result.speedup > 1.0
-
-
 def test_bench_shard_backends(benchmark, backend_result):
-    # The timed body re-runs the three-way comparison; the pool-vs-fork
-    # rows (measured walls + amortized per-batch IPC cost) ride to
+    # The timed body re-runs the two-way comparison; the measured walls
+    # and the pool's amortized per-batch IPC cost ride to
     # BENCH_fleet.json in extra_info.
     result = benchmark.pedantic(
         lambda: run_shard_backend_comparison(
@@ -245,24 +229,21 @@ def test_bench_shard_backends(benchmark, backend_result):
         "shards": result.shards,
         "cpus": result.cpus,
         "sequential_wall_s": result.sequential_wall_s,
-        "process_wall_s": result.process_wall_s,
         "pool_wall_s": result.pool_wall_s,
-        "process_ipc_ms_per_batch": result.process_ipc_ms_per_batch,
         "pool_ipc_ms_per_batch": result.pool_ipc_ms_per_batch,
-        "pool_vs_process": result.pool_vs_process,
         "verdicts_match": result.verdicts_match,
     }
     print("\n" + result.summary())
+    record_bench_metadata(benchmark.extra_info, smoke=PACKETS < 5000)
     assert result.verdicts_match
 
 
 @timing_sensitive
 @multicore
-def test_pool_backend_beats_fork_wall_clock(backend_result):
-    # The tentpole acceptance bar: long-lived workers that skip the
-    # per-batch fork must beat fork-per-batch on measured wall-clock,
-    # and on multi-core hosts also beat the sequential baseline.
-    assert backend_result.pool_vs_process > 1.0
+def test_pool_backend_beats_sequential_wall_clock(backend_result):
+    # The acceptance bar for the modelled parallel speedup: on
+    # multi-core hosts the persistent pool must beat the sequential
+    # baseline on actual wall-clock, not just in the model.
     assert backend_result.pool_speedup > 1.0
 
 
@@ -302,59 +283,3 @@ def test_bench_fleet_pool(benchmark):
     if result.fleet_backend == "pool":
         assert result.fleet_measured_wall_s > 0.0
         assert result.pool_delta_pushes > 0
-
-
-@pytest.fixture(scope="module")
-def scheduler_result():
-    return run_scheduler_comparison(packets=PACKETS, shards=4, corpus_apps=6, seed=7)
-
-
-def test_bench_scheduler(benchmark, scheduler_result):
-    # Adaptive-vs-static batch scheduling on the pooled replay; the row
-    # BENCH_fleet.json archives across PRs.  The timed body re-runs the
-    # comparison, the module fixture supplies the asserted numbers.
-    result = benchmark.pedantic(
-        lambda: run_scheduler_comparison(
-            packets=PACKETS, shards=4, corpus_apps=6, seed=7
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    benchmark.extra_info["scheduler"] = {
-        "packets": result.packets,
-        "shards": result.shards,
-        "cpus": result.cpus,
-        "backend": result.backend,
-        "static_batches": result.static_batches,
-        "macro_bursts": result.macro_bursts,
-        "sequential_wall_s": result.sequential_wall_s,
-        "static_wall_s": result.static_wall_s,
-        "adaptive_wall_s": result.adaptive_wall_s,
-        "adaptive_vs_static": result.adaptive_vs_static,
-        "decisions": result.decisions,
-        "final_sizes": list(result.final_sizes),
-        "verdicts_match": result.verdicts_match,
-    }
-    print("\n" + result.summary())
-    record_bench_metadata(benchmark.extra_info, smoke=PACKETS < 5000)
-    assert result.verdicts_match
-
-
-def test_adaptive_scheduler_verdict_identical(scheduler_result):
-    # run_scheduler_comparison raises on divergence; the flag must also
-    # survive on the result the JSON row is built from.
-    assert scheduler_result.packets == PACKETS
-    assert scheduler_result.verdicts_match
-
-
-@timing_sensitive
-@multicore
-def test_adaptive_scheduler_at_least_matches_static_split(scheduler_result):
-    # The acceptance bar: scheduled batching must not give back the
-    # static split's throughput on multi-core full runs (a 5% band
-    # absorbs shared-runner noise; smoke runs only assert identity).
-    assert scheduler_result.backend == "pool"
-    assert (
-        scheduler_result.adaptive_wall_s
-        <= scheduler_result.static_wall_s * 1.05
-    )

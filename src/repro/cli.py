@@ -25,9 +25,9 @@ the same operator workflows over the reproduction:
                      rule churn: delta control plane vs whole-flush;
 * ``fleet``        — replay a provisioned device fleet across replicated
                      gateways under live policy churn: convergence lag,
-                     verdict identity vs a single gateway, and the real
-                     multiprocessing shard backend vs the sequential
-                     model;
+                     verdict identity vs a single gateway, and the
+                     persistent worker-pool shard backend vs the
+                     sequential model;
 * ``audit``        — replay mixed benign/adversarial fleet traffic with
                      the telemetry pipeline attached: per-scenario
                      detection precision/recall for BorderPatrol vs the
@@ -83,7 +83,6 @@ from repro.experiments.obs import run_obs_profile
 from repro.experiments.ops import run_ops_bench
 from repro.experiments.policy_churn import run_policy_churn
 from repro.experiments.table_validation import run_validation
-from repro.runtime.scheduler import SCHEDULERS, SchedulerConfig
 from repro.workloads.apps import build_box_like_app, build_calendar_app, build_cloud_storage_app
 from repro.workloads.corpus import CorpusConfig, CorpusGenerator
 
@@ -273,51 +272,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 
 #: CLI spelling -> runtime spelling for execution backends.
-_BACKEND_CHOICES = {"serial": "sequential", "process": "process", "pool": "pool"}
-
-_SCHEDULER_DEFAULTS = SchedulerConfig()
-
-
-def _add_scheduler_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--scheduler",
-        choices=SCHEDULERS,
-        default="static",
-        help="pool batch scheduling: static (one batch per worker per "
-        "burst) or adaptive (a BatchScheduler resizes per-worker batch "
-        "caps online from queue-wait/overhead signals; needs --backend "
-        "pool)",
-    )
-    parser.add_argument(
-        "--scheduler-batch",
-        type=int,
-        default=_SCHEDULER_DEFAULTS.initial_batch,
-        metavar="N",
-        help="adaptive scheduler: first-burst per-worker batch-size cap",
-    )
-    parser.add_argument(
-        "--scheduler-min-batch",
-        type=int,
-        default=_SCHEDULER_DEFAULTS.min_batch,
-        metavar="N",
-        help="adaptive scheduler: safe floor backlog alerts snap to",
-    )
-    parser.add_argument(
-        "--scheduler-max-batch",
-        type=int,
-        default=_SCHEDULER_DEFAULTS.max_batch,
-        metavar="N",
-        help="adaptive scheduler: growth ceiling",
-    )
-
-
-def _scheduler_config(args: argparse.Namespace) -> SchedulerConfig | None:
-    config = SchedulerConfig(
-        initial_batch=args.scheduler_batch,
-        min_batch=args.scheduler_min_batch,
-        max_batch=args.scheduler_max_batch,
-    )
-    return None if config == _SCHEDULER_DEFAULTS else config
+_BACKEND_CHOICES = {"serial": "sequential", "pool": "pool"}
 
 
 def _cmd_gateway_bench(args: argparse.Namespace) -> int:
@@ -329,8 +284,6 @@ def _cmd_gateway_bench(args: argparse.Namespace) -> int:
             corpus_apps=args.corpus_apps,
             seed=args.seed,
             backend=_BACKEND_CHOICES[args.backend],
-            scheduler=args.scheduler,
-            scheduler_config=_scheduler_config(args),
         )
     except ValueError as error:
         print(f"gateway-bench rejected: {error}", file=sys.stderr)
@@ -361,8 +314,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             seed=args.seed,
             backend_packets=0 if args.skip_backend else args.backend_packets,
             backend=_BACKEND_CHOICES[args.backend],
-            scheduler=args.scheduler,
-            scheduler_config=_scheduler_config(args),
         )
     except ValueError as error:
         print(f"fleet rejected: {error}", file=sys.stderr)
@@ -469,8 +420,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             batches=args.batches,
             sample_every=args.sample_every,
             frames=1 if args.snapshot else args.frames,
-            scheduler=args.scheduler,
-            scheduler_config=_scheduler_config(args),
         )
     except ValueError as error:
         print(f"obs rejected: {error}", file=sys.stderr)
@@ -481,8 +430,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         for frame in profile.frames:
             print(frame)
             print()
-    if args.scheduler == "adaptive":
-        print(profile.scheduler_summary())
     if args.export:
         text = profile.prometheus if args.export == "prom" else profile.jsonl
         if args.output:
@@ -618,12 +565,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=tuple(_BACKEND_CHOICES),
         default="serial",
         help="execution engine for the sharded rows: serial (in-process "
-        "model), process (fork-per-batch), or pool (persistent worker "
-        "pool with delta push); process/pool need the POSIX fork start "
-        "method and fall back to serial with a warning where it is "
-        "unavailable",
+        "model) or pool (persistent worker pool with delta push); pool "
+        "needs the POSIX fork start method and falls back to serial with "
+        "a warning where it is unavailable",
     )
-    _add_scheduler_args(gateway)
     gateway.set_defaults(func=_cmd_gateway_bench)
 
     churn = subparsers.add_parser(
@@ -657,13 +602,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend-packets",
         type=int,
         default=10_000,
-        help="replay size for the sequential-vs-multiprocessing shard "
-        "backend comparison",
+        help="replay size for the sequential-vs-pool shard backend "
+        "comparison",
     )
     fleet.add_argument(
         "--skip-backend",
         action="store_true",
-        help="skip the multiprocessing backend comparison",
+        help="skip the shard backend comparison",
     )
     fleet.add_argument(
         "--late-joiner-versions",
@@ -689,13 +634,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=tuple(_BACKEND_CHOICES),
         default="serial",
-        help="fleet execution engine: serial (in-process model), process "
-        "(fork each gateway's shards per batch), or pool (long-lived "
-        "gateway workers with pipelined bursts and delta push); "
-        "process/pool need the POSIX fork start method and fall back to "
+        help="fleet execution engine: serial (in-process model) or pool "
+        "(long-lived gateway workers with pipelined bursts and delta "
+        "push); pool needs the POSIX fork start method and falls back to "
         "serial with a warning where it is unavailable",
     )
-    _add_scheduler_args(fleet)
     fleet.set_defaults(func=_cmd_fleet)
 
     audit = subparsers.add_parser(
@@ -780,7 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="write the --export text to FILE instead of stdout",
     )
-    _add_scheduler_args(obs)
     obs.set_defaults(func=_cmd_obs)
     return parser
 

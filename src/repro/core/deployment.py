@@ -53,13 +53,18 @@ class BorderPatrolDeployment:
         num_gateways: int = 1,
         shard_backend: str = "sequential",
         gateway_backend: str = "sequential",
-        scheduler: str = "static",
-        scheduler_config=None,
         keep_records: bool = True,
         compact_every: int | None = None,
     ) -> None:
         if num_gateways < 1:
             raise ValueError("a deployment needs at least one gateway")
+        if num_gateways > 1 and shard_backend != "sequential":
+            # Fleet gateways run their shards in-process; parallelism
+            # across gateways is gateway_backend's job.
+            raise ValueError(
+                "shard_backend applies to a single-gateway deployment; "
+                "a fleet parallelises with gateway_backend='pool'"
+            )
         if network is None:
             network = (
                 EnterpriseNetwork(config=NetworkConfig(num_gateways=num_gateways))
@@ -109,10 +114,7 @@ class BorderPatrolDeployment:
                 num_gateways=num_gateways,
                 shards_per_gateway=enforcer_shards,
                 live=True,
-                shard_backend=shard_backend,
                 backend=gateway_backend,
-                scheduler=scheduler,
-                scheduler_config=scheduler_config,
                 compact_every=compact_every,
                 **enforcer_kwargs,
             )
@@ -134,17 +136,9 @@ class BorderPatrolDeployment:
                 self.enforcer = ShardedEnforcer(
                     num_shards=enforcer_shards,
                     backend=shard_backend,
-                    scheduler=scheduler,
-                    scheduler_config=scheduler_config,
                     **enforcer_kwargs,
                 )
             else:
-                if scheduler != "static":
-                    raise ValueError(
-                        "the adaptive batch scheduler needs a worker pool; "
-                        "build with num_gateways > 1 or enforcer_shards > 1 "
-                        "and the matching *_backend='pool'"
-                    )
                 self.enforcer = PolicyEnforcer(**enforcer_kwargs)
             #: The versioned control plane for the gateway's policy.  Seeded
             #: from the enforcer's initial rules (push=False: the enforcer

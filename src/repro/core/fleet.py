@@ -41,7 +41,7 @@ from repro.core.policy_store import (
 )
 from repro.netstack.ip import IPPacket
 from repro.netstack.netfilter import Verdict, flow_hash
-from repro.netstack.sharding import ShardedEnforcer
+from repro.netstack.sharding import ShardedEnforcer, check_complete
 from repro.runtime.pool import GatewayWorkerPool, WorkerPoolError, fork_available
 
 logger = logging.getLogger(__name__)
@@ -105,11 +105,8 @@ class GatewayFleet:
         num_gateways: int = 2,
         shards_per_gateway: int = 1,
         live: bool = True,
-        shard_backend: str = "sequential",
         backend: str = "sequential",
         compact_every: int | None = None,
-        scheduler: str = "static",
-        scheduler_config=None,
         **enforcer_kwargs,
     ) -> None:
         if num_gateways < 1:
@@ -119,34 +116,6 @@ class GatewayFleet:
         if backend not in FLEET_BACKENDS:
             raise ValueError(
                 f"unknown fleet backend {backend!r}; choose from {FLEET_BACKENDS}"
-            )
-        from repro.runtime.scheduler import BatchScheduler, validate_scheduler
-
-        validate_scheduler(scheduler)
-        if scheduler == "adaptive" and backend != "pool":
-            raise ValueError("the adaptive batch scheduler needs backend='pool'")
-        #: ``"static"`` (one batch per gateway per burst) or ``"adaptive"``.
-        self.scheduler_mode = scheduler
-        #: The live :class:`~repro.runtime.scheduler.BatchScheduler`
-        #: (None in static mode); ``attach_monitor`` a health monitor on
-        #: it so backlog alerts snap batch sizes to the floor.
-        self.scheduler = (
-            BatchScheduler(
-                num_workers=num_gateways,
-                config=scheduler_config,
-                pool="gateway-pool",
-            )
-            if scheduler == "adaptive"
-            else None
-        )
-        if backend == "pool" and shard_backend != "sequential":
-            # Gateway workers fork whole replicas; an enforcer holding
-            # its own active pool (or forking per batch) inside that
-            # fork would inherit dead pipe ends — shards run serially
-            # in-process inside each gateway worker instead.
-            raise ValueError(
-                "the gateway pool backend runs each gateway's shards "
-                "in-process; use shard_backend='sequential'"
             )
         self.requested_backend = backend
         self.degraded = False
@@ -178,7 +147,6 @@ class GatewayFleet:
         self.num_gateways = num_gateways
         self.shards_per_gateway = shards_per_gateway
         self.live = live
-        self._shard_backend = shard_backend
         self._enforcer_kwargs = dict(enforcer_kwargs)
         self._auditor = None
         self.replicas: list[GatewayReplica] = []
@@ -191,13 +159,16 @@ class GatewayFleet:
             self.replicas.append(replica)
 
     def _build_enforcer(self):
-        """One gateway's enforcer, per the fleet-wide shard configuration."""
+        """One gateway's enforcer, per the fleet-wide shard configuration.
+
+        A sharded gateway runs its shards in-process (the sequential
+        backend): parallelism across gateways is the fleet backend's job.
+        """
         if self.shards_per_gateway > 1:
             return ShardedEnforcer(
                 database=self.database,
                 policy=None,
                 num_shards=self.shards_per_gateway,
-                backend=self._shard_backend,
                 **self._enforcer_kwargs,
             )
         return PolicyEnforcer(database=self.database, policy=None, **self._enforcer_kwargs)
@@ -334,8 +305,6 @@ class GatewayFleet:
         """
         self._restart_pool()
         self._obs = obs
-        if self.scheduler is not None and obs is not None:
-            self.scheduler.bind_obs(obs)
         for replica in self.replicas:
             self._wire_obs(replica)
 
@@ -411,7 +380,7 @@ class GatewayFleet:
             for position, result in zip(positions, processed):
                 results[position] = result
         return FleetBatchResult(
-            results=[result for result in results if result is not None],
+            results=check_complete(results, "sequential fleet burst"),
             gateway_elapsed_s=elapsed,
             gateway_packet_counts=[len(positions) for positions in groups],
         )
@@ -420,16 +389,7 @@ class GatewayFleet:
 
     def _ensure_pool(self) -> GatewayWorkerPool:
         if self._pool is None:
-            if self.scheduler is not None and self._obs is None:
-                # The adaptive scheduler is driven by the obs layer's
-                # batch traces and histograms; give it a private bundle
-                # when the caller did not attach one.
-                from repro.obs.instrument import RuntimeObservability
-
-                self.attach_obs(RuntimeObservability())
             self._pool = GatewayWorkerPool(self.replicas, obs=self._obs)
-            if self.scheduler is not None:
-                self.scheduler.bind_obs(self._obs)
             # The finalizer holds only the pool (not self): leaked
             # fleets still reap their daemon workers at GC.
             self._pool_finalizer = weakref.finalize(self, self._pool.close)
@@ -489,8 +449,7 @@ class GatewayFleet:
             self.store.delta_log,
             [replica.version for replica in self.replicas],
         )
-        sizes = None if self.scheduler is None else self.scheduler.plan()
-        return pool.submit(packets, batch_sizes=sizes)
+        return pool.submit(packets)
 
     def collect_burst(self, token: int | None = None) -> FleetBatchResult:
         """Harvest a submitted burst (default: the oldest outstanding)."""

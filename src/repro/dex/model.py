@@ -104,10 +104,26 @@ class ClassDef:
     source_file: str = ""
     methods: list[MethodDef] = field(default_factory=list)
     fields: list[FieldDef] = field(default_factory=list)
+    #: Signatures of ``_indexed`` (the list ``methods`` held when they
+    #: were taken), for O(1) duplicate checks.
+    _signatures: set = field(default_factory=set, init=False, repr=False, compare=False)
+    _indexed: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.descriptor.startswith("L") and self.descriptor.endswith(";")):
             raise ValueError(f"malformed class descriptor: {self.descriptor!r}")
+
+    def _signature_set(self) -> set:
+        """Every method signature, in step with ``methods``.
+
+        ``methods`` is a public list: callers may append to it directly or
+        assign a new one, so the set is rebuilt whenever the list object
+        or its length no longer matches.
+        """
+        if self._indexed is not self.methods or len(self._signatures) != len(self.methods):
+            self._signatures = {method.signature for method in self.methods}
+            self._indexed = self.methods
+        return self._signatures
 
     @property
     def class_name(self) -> str:
@@ -124,9 +140,11 @@ class ClassDef:
                 "method signature declares a different class: "
                 f"{method.signature.class_descriptor} != {self.descriptor}"
             )
-        if any(m.signature == method.signature for m in self.methods):
+        signatures = self._signature_set()
+        if method.signature in signatures:
             raise ValueError(f"duplicate method signature: {method.signature}")
         self.methods.append(method)
+        signatures.add(method.signature)
 
     def find_methods(self, method_name: str) -> list[MethodDef]:
         """Return all overloads of ``method_name`` declared by this class."""

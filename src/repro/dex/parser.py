@@ -134,7 +134,7 @@ class DexParser:
         )
         method_count = reader.read_u32()
         for _ in range(method_count):
-            class_def.methods.append(self._parse_method(reader, descriptor))
+            class_def.add_method(self._parse_method(reader, descriptor))
         return class_def
 
     def _parse_method(self, reader: _Reader, class_descriptor: str) -> MethodDef:

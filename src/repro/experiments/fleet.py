@@ -21,8 +21,8 @@ one gateway; this driver measures the fleet runtime end to end:
 
 :func:`run_shard_backend_comparison` separately validates the *modelled*
 shard parallelism with wall-clock: the same replay through
-``ShardedEnforcer`` with the sequential backend vs the real
-``multiprocessing`` fork backend.
+``ShardedEnforcer`` with the sequential backend vs the persistent
+worker pool.
 
 :func:`run_late_joiner_bench` measures the other scale axis — control-
 plane history.  A gateway provisioned after hundreds of committed
@@ -40,7 +40,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.deployment import BorderPatrolDeployment
-from repro.core.fleet import GatewayFleet
+from repro.core.fleet import FLEET_BACKENDS, GatewayFleet
 from repro.core.policy import Policy, PolicyAction, PolicyLevel, PolicyRule
 from repro.core.policy_enforcer import PolicyEnforcer
 from repro.core.policy_store import (
@@ -71,38 +71,26 @@ def available_cpus() -> int:
 
 @dataclass
 class ShardBackendComparison:
-    """Sequential vs fork-per-batch vs persistent pool on one batched replay.
+    """Sequential vs persistent pool on one batched replay.
 
-    The replay is split into ``batches`` equal bursts and every backend
-    processes the identical burst sequence.  Fork-per-batch pays worker
-    setup (fork + shard-state inheritance + teardown) on *every* burst;
-    the pool forks its workers once and amortizes that cost across the
-    whole run, so the two ``*_ipc_ms_per_batch`` figures — measured
-    wall minus the modelled in-worker compute, spread over the burst
-    count — are the head-to-head number for the runtime overhead each
-    parallel backend adds on top of the actual enforcement work.
+    The replay is split into ``batches`` equal bursts and both backends
+    process the identical burst sequence.  The pool forks its workers
+    once and amortizes that cost across the whole run, so
+    :attr:`pool_ipc_ms_per_batch` — measured wall minus the modelled
+    in-worker compute, spread over the burst count — is the runtime
+    overhead the parallel backend adds on top of the enforcement work.
     """
 
     packets: int
     shards: int
     cpus: int
     sequential_wall_s: float
-    process_wall_s: float
+    pool_wall_s: float
     verdicts_match: bool
     batches: int = 1
-    pool_wall_s: float = 0.0
     #: Modelled in-worker compute (sum over bursts of the slowest
-    #: shard's elapsed): the wall each parallel backend would cost if
-    #: fork/IPC were free.
-    process_compute_s: float = 0.0
+    #: shard's elapsed): the wall the pool would cost if IPC were free.
     pool_compute_s: float = 0.0
-
-    @property
-    def speedup(self) -> float:
-        """Real wall-clock speedup of the fork backend over sequential."""
-        if self.process_wall_s <= 0:
-            return float("inf")
-        return self.sequential_wall_s / self.process_wall_s
 
     @property
     def pool_speedup(self) -> float:
@@ -112,26 +100,11 @@ class ShardBackendComparison:
         return self.sequential_wall_s / self.pool_wall_s
 
     @property
-    def pool_vs_process(self) -> float:
-        """How much faster the persistent pool is than fork-per-batch."""
-        if self.pool_wall_s <= 0:
-            return float("inf")
-        return self.process_wall_s / self.pool_wall_s
-
-    def _amortized_ipc_ms(self, wall_s: float, compute_s: float) -> float:
-        if self.batches <= 0:
-            return 0.0
-        return max(0.0, wall_s - compute_s) / self.batches * 1e3
-
-    @property
-    def process_ipc_ms_per_batch(self) -> float:
-        """Fork-per-batch overhead beyond compute, amortized per burst."""
-        return self._amortized_ipc_ms(self.process_wall_s, self.process_compute_s)
-
-    @property
     def pool_ipc_ms_per_batch(self) -> float:
         """Pool IPC + one-time spawn beyond compute, amortized per burst."""
-        return self._amortized_ipc_ms(self.pool_wall_s, self.pool_compute_s)
+        if self.batches <= 0:
+            return 0.0
+        return max(0.0, self.pool_wall_s - self.pool_compute_s) / self.batches * 1e3
 
     def summary(self) -> str:
         return "\n".join(
@@ -139,19 +112,15 @@ class ShardBackendComparison:
                 f"shard backends on {self.packets} packets in {self.batches} "
                 f"batch(es), {self.shards} shards, {self.cpus} cpu(s):",
                 f"  sequential      {self.sequential_wall_s * 1e3:8.1f} ms",
-                f"  fork-per-batch  {self.process_wall_s * 1e3:8.1f} ms "
-                f"({self.speedup:.2f}x vs sequential, "
-                f"{self.process_ipc_ms_per_batch:.2f} ms/batch setup+IPC)",
                 f"  persistent pool {self.pool_wall_s * 1e3:8.1f} ms "
                 f"({self.pool_speedup:.2f}x vs sequential, "
-                f"{self.pool_vs_process:.2f}x vs fork, "
                 f"{self.pool_ipc_ms_per_batch:.2f} ms/batch amortized IPC)",
-                f"  verdict-identical across all three: {self.verdicts_match}",
+                f"  verdict-identical across both: {self.verdicts_match}",
             ]
         )
 
 
-def _run_batched_replay(enforcer, bursts, backend=None, pipelined=False):
+def _run_batched_replay(enforcer, bursts, pipelined=False):
     """Run one burst sequence; return (verdicts, measured wall, compute)."""
     verdicts: list[Verdict] = []
     compute = 0.0
@@ -160,9 +129,7 @@ def _run_batched_replay(enforcer, bursts, backend=None, pipelined=False):
         tokens = [enforcer.submit_batch(burst) for burst in bursts]
         batches = [enforcer.collect_batch(token) for token in tokens]
     else:
-        batches = [
-            enforcer.process_batch_timed(burst, backend=backend) for burst in bursts
-        ]
+        batches = [enforcer.process_batch_timed(burst) for burst in bursts]
     wall = time.perf_counter() - started
     for batch in batches:
         verdicts.extend(verdict for verdict, _ in batch.results)
@@ -179,15 +146,14 @@ def run_shard_backend_comparison(
     flow_cache_size: int = 0,
     batches: int = 16,
 ) -> ShardBackendComparison:
-    """Measure all three shard backends on the identical batched replay.
+    """Measure both shard backends on the identical batched replay.
 
-    Every enforcer processes the identical burst sequence with identical
+    Both enforcers process the identical burst sequence with identical
     shard configuration; ``flow_cache_size`` defaults to 0 (compiled-only
     path) so there is real per-packet work for the parallel fan-out to
     win on.  A small warm-up burst triggers lazy per-app policy
-    compilation on every side before the timed runs — the pool's workers
-    then fork *once* from the warmed parent, while the fork backend
-    re-forks from it on every burst.  The pool run is pipelined
+    compilation on both sides before the timed runs — the pool's workers
+    then fork *once* from the warmed parent.  The pool run is pipelined
     (submit-ahead), so its measured wall also credits the overlap of
     parent-side stitching with worker-side enforcement.
     """
@@ -209,15 +175,12 @@ def run_shard_backend_comparison(
         flow_cache_size=flow_cache_size,
     )
     sequential = ShardedEnforcer(backend="sequential", **kwargs)
-    forked = ShardedEnforcer(backend="process", **kwargs)
     pooled = ShardedEnforcer(backend="pool", **kwargs)
     warmup = replay[: min(64, len(replay))]
     sequential.process_batch_timed(warmup)
-    forked.process_batch_timed(warmup, backend="sequential")
     pooled.process_batch_timed(warmup, backend="sequential")
 
     seq_verdicts, seq_wall, _ = _run_batched_replay(sequential, bursts)
-    fork_verdicts, fork_wall, fork_compute = _run_batched_replay(forked, bursts)
     # The pool's effective backend may have degraded to sequential on
     # fork-less platforms; pipelining only exists on the real pool.
     pool_verdicts, pool_wall, pool_compute = _run_batched_replay(
@@ -229,168 +192,10 @@ def run_shard_backend_comparison(
         shards=shards,
         cpus=available_cpus(),
         sequential_wall_s=seq_wall,
-        process_wall_s=fork_wall,
-        verdicts_match=seq_verdicts == fork_verdicts == pool_verdicts,
-        batches=len(bursts),
         pool_wall_s=pool_wall,
-        process_compute_s=fork_compute,
+        verdicts_match=seq_verdicts == pool_verdicts,
+        batches=len(bursts),
         pool_compute_s=pool_compute,
-    )
-
-
-@dataclass
-class SchedulerComparison:
-    """Static hand-tuned batching vs the adaptive scheduler on one replay.
-
-    The static side is the experiments' profiled baseline: the replay
-    split into ``static_batches`` equal bursts, one pool batch per
-    routed worker per burst, pipelined submit-ahead.  The adaptive side
-    hands the *same* replay to the pool in a few large macro-bursts and
-    lets a :class:`~repro.runtime.scheduler.BatchScheduler` chunk each
-    worker's share into its per-worker cap, re-planning between
-    submits.  A sequential enforcer provides the verdict reference;
-    the run itself asserts three-way verdict identity, so a scheduler
-    that changed routing or ordering fails loudly, not as a footnote.
-    """
-
-    packets: int
-    shards: int
-    cpus: int
-    #: Bursts in the hand-tuned static split (the profiled 16).
-    static_batches: int
-    #: Macro-bursts the adaptive side submitted (the scheduler chunks
-    #: each into per-worker batches on its own).
-    macro_bursts: int
-    sequential_wall_s: float
-    static_wall_s: float
-    adaptive_wall_s: float
-    verdicts_match: bool
-    #: Resize decisions the scheduler took over the run.
-    decisions: int = 0
-    final_sizes: tuple[int, ...] = ()
-    #: Effective execution backend ("pool", or "sequential" after a
-    #: graceful degradation on fork-less platforms).
-    backend: str = "pool"
-
-    @property
-    def adaptive_vs_static(self) -> float:
-        """Wall-clock speedup of the scheduler over the static split."""
-        if self.adaptive_wall_s <= 0:
-            return float("inf")
-        return self.static_wall_s / self.adaptive_wall_s
-
-    @property
-    def adaptive_speedup(self) -> float:
-        """Wall-clock speedup of the scheduler over sequential."""
-        if self.adaptive_wall_s <= 0:
-            return float("inf")
-        return self.sequential_wall_s / self.adaptive_wall_s
-
-    def summary(self) -> str:
-        sizes = ", ".join(str(size) for size in self.final_sizes) or "-"
-        return "\n".join(
-            [
-                f"batch scheduling on {self.packets} packets, {self.shards} "
-                f"shards, {self.cpus} cpu(s), backend={self.backend}:",
-                f"  sequential              {self.sequential_wall_s * 1e3:8.1f} ms",
-                f"  static {self.static_batches:3d}-burst split    "
-                f"{self.static_wall_s * 1e3:8.1f} ms",
-                f"  adaptive ({self.macro_bursts} macro-bursts) "
-                f"{self.adaptive_wall_s * 1e3:8.1f} ms "
-                f"({self.adaptive_vs_static:.2f}x vs static; "
-                f"{self.decisions} resize decision(s), final caps [{sizes}])",
-                f"  verdict-identical across all three: {self.verdicts_match}",
-            ]
-        )
-
-
-def run_scheduler_comparison(
-    packets: int = 10_000,
-    flows: int = 256,
-    shards: int = 4,
-    corpus_apps: int = 6,
-    seed: int = 7,
-    flow_cache_size: int = 0,
-    batches: int = 16,
-    macro_bursts: int = 4,
-    scheduler_config=None,
-) -> SchedulerComparison:
-    """Prove the adaptive scheduler against the static 16-burst split.
-
-    Both pool runs are pipelined (submit-ahead) over the identical
-    replay with identical shard configuration.  The static run is the
-    exact shape the benchmarks profile — ``batches`` equal bursts, one
-    batch per worker per burst.  The adaptive run submits only
-    ``macro_bursts`` large bursts and lets the scheduler choose the
-    batch boundaries inside each; the scheduler re-plans at every
-    submit, so its resize decisions land between macro-bursts.  Verdict
-    identity across sequential/static/adaptive is asserted here, in the
-    experiment itself — a scheduler bug cannot hide behind a throughput
-    number.
-    """
-    if packets < 1:
-        raise ValueError("the replay needs at least one packet")
-    if shards < 2:
-        raise ValueError("comparing schedulers needs at least two shards")
-    if batches < 1 or macro_bursts < 1:
-        raise ValueError("both burst splits need at least one burst")
-    database = build_signature_database(corpus_apps=corpus_apps, seed=seed)
-    replay = build_replay(database.entries(), packets=packets, flows=flows, seed=seed)
-    static_bursts = [burst for burst in split_into_bursts(replay, batches) if burst]
-    adaptive_bursts = [
-        burst for burst in split_into_bursts(replay, macro_bursts) if burst
-    ]
-    policy = Policy.deny_libraries(DEFAULT_DENY_LIBRARIES, name="scheduler-compare")
-    kwargs = dict(
-        database=database,
-        policy=policy,
-        num_shards=shards,
-        keep_records=False,
-        flow_cache_size=flow_cache_size,
-    )
-    sequential = ShardedEnforcer(backend="sequential", **kwargs)
-    static = ShardedEnforcer(backend="pool", **kwargs)
-    adaptive = ShardedEnforcer(
-        backend="pool",
-        scheduler="adaptive",
-        scheduler_config=scheduler_config,
-        **kwargs,
-    )
-    warmup = replay[: min(64, len(replay))]
-    sequential.process_batch_timed(warmup)
-    static.process_batch_timed(warmup, backend="sequential")
-    adaptive.process_batch_timed(warmup, backend="sequential")
-
-    seq_verdicts, seq_wall, _ = _run_batched_replay(sequential, static_bursts)
-    static_verdicts, static_wall, _ = _run_batched_replay(
-        static, static_bursts, pipelined=static.backend == "pool"
-    )
-    adaptive_verdicts, adaptive_wall, _ = _run_batched_replay(
-        adaptive, adaptive_bursts, pipelined=adaptive.backend == "pool"
-    )
-    backend = adaptive.backend
-    scheduler = adaptive.scheduler
-    static.close()
-    adaptive.close()
-    verdicts_match = seq_verdicts == static_verdicts == adaptive_verdicts
-    if not verdicts_match:
-        raise RuntimeError(
-            "adaptive scheduler changed verdicts: batch resizing must move "
-            "batch boundaries only, never routing or intra-flow order"
-        )
-    return SchedulerComparison(
-        packets=len(replay),
-        shards=shards,
-        cpus=available_cpus(),
-        static_batches=len(static_bursts),
-        macro_bursts=len(adaptive_bursts),
-        sequential_wall_s=seq_wall,
-        static_wall_s=static_wall,
-        adaptive_wall_s=adaptive_wall,
-        verdicts_match=verdicts_match,
-        decisions=len(scheduler.decisions),
-        final_sizes=tuple(scheduler.sizes()),
-        backend=backend,
     )
 
 
@@ -611,10 +416,6 @@ class FleetBenchResult:
     backend_fallbacks: int = 0
     pool_ring_batches: int = 0
     pool_pickled_batches: int = 0
-    #: Batch scheduling mode on the gateway pool ("static" or "adaptive").
-    scheduler: str = "static"
-    scheduler_decisions: int = 0
-    scheduler_sizes: tuple[int, ...] = ()
 
     @property
     def verdicts_match(self) -> bool:
@@ -702,12 +503,6 @@ class FleetBenchResult:
                 f"{self.pool_ring_batches} via ring, "
                 f"{self.pool_pickled_batches} pickled"
             )
-            if self.scheduler == "adaptive":
-                sizes = ", ".join(str(size) for size in self.scheduler_sizes) or "-"
-                lines.append(
-                    f"adaptive batch scheduler: {self.scheduler_decisions} "
-                    f"resize decision(s), final per-gateway caps [{sizes}]"
-                )
         if self.backend is not None:
             lines.append(self.backend.summary())
         return "\n".join(lines)
@@ -725,8 +520,6 @@ def run_fleet_bench(
     apps_per_device: tuple[int, int] = (1, 3),
     backend_packets: int = 0,
     backend: str = "sequential",
-    scheduler: str = "static",
-    scheduler_config=None,
 ) -> FleetBenchResult:
     """Replay one fleet workload under live churn; compare with one gateway.
 
@@ -743,21 +536,12 @@ def run_fleet_bench(
     next round of edits while the workers enforce, and only then is the
     burst harvested.  Pipe FIFO ordering keeps the worker-side record
     replay and batch enforcement in exactly the serial interleaving, so
-    verdict identity against the baseline is unchanged.
-    ``backend="process"`` keeps the gateways in-process but runs each
-    gateway's shards on the fork-per-batch backend — the pool's
-    amortization foil.  Both fork-based modes degrade gracefully to
-    sequential on platforms without the ``fork`` start method.
+    verdict identity against the baseline is unchanged.  The pool
+    degrades gracefully to sequential on platforms without the ``fork``
+    start method.
 
     ``backend_packets > 0`` additionally runs
     :func:`run_shard_backend_comparison` at that replay size.
-
-    ``scheduler="adaptive"`` (pool backend only) puts a
-    :class:`~repro.runtime.scheduler.BatchScheduler` between the fleet
-    and the gateway pool, so burst batch boundaries resize online from
-    the pool's observed stage breakdown; verdict identity against the
-    baseline is unchanged, and the taken resize decisions are reported
-    on the result.
     """
     if packets <= edits:
         raise ValueError("need more packets than edits so every burst is non-empty")
@@ -770,22 +554,17 @@ def run_fleet_bench(
 
     apps = CorpusGenerator(CorpusConfig(n_apps=corpus_apps, seed=seed)).generate()
     base_policy = Policy.deny_libraries(DEFAULT_DENY_LIBRARIES, name="fleet-base")
-    if backend not in ("sequential", "process", "pool"):
+    if backend not in FLEET_BACKENDS:
         raise ValueError(
-            f"unknown fleet backend {backend!r}; "
-            "choose from ('sequential', 'process', 'pool')"
+            f"unknown fleet backend {backend!r}; choose from {FLEET_BACKENDS}"
         )
     deployment = BorderPatrolDeployment(
         policy=base_policy,
         num_gateways=gateways,
         enforcer_shards=shards_per_gateway,
         # "pool" runs whole gateways in long-lived workers (their shards
-        # in-process); "process" keeps gateways in-process and forks
-        # their shards per batch — the pool's amortization foil.
-        shard_backend="process" if backend == "process" else "sequential",
-        gateway_backend="pool" if backend == "pool" else "sequential",
-        scheduler=scheduler,
-        scheduler_config=scheduler_config,
+        # in-process).
+        gateway_backend=backend,
         drop_untagged=True,
         drop_unknown_apps=True,
         keep_records=False,
@@ -911,13 +690,7 @@ def run_fleet_bench(
             total + count for total, count in zip(per_gateway, batch.gateway_packet_counts)
         ]
 
-    if backend == "process":
-        # Report the effective shard backend (it may have degraded).
-        result.fleet_backend = getattr(
-            fleet.replicas[0].enforcer, "backend", "sequential"
-        )
-    else:
-        result.fleet_backend = fleet.backend
+    result.fleet_backend = fleet.backend
     result.fleet_wall_s = fleet_wall
     result.baseline_wall_s = baseline_wall
     result.fleet_verdicts = tuple(fleet_verdicts)
@@ -926,10 +699,6 @@ def run_fleet_bench(
     result.final_versions = fleet.policy_versions()
     result.store_version = store.version
     result.converged = fleet.converged
-    result.scheduler = scheduler
-    if fleet.scheduler is not None:
-        result.scheduler_decisions = len(fleet.scheduler.decisions)
-        result.scheduler_sizes = tuple(fleet.scheduler.sizes())
     aggregated = fleet.aggregate_stats()
     fleet.close()
     result.top_churn_apps = aggregated.top_churn_apps(limit=3)

@@ -275,24 +275,15 @@ def run_gateway_bench(
     keep_records: bool = True,
     policy: Policy | None = None,
     backend: str = "sequential",
-    scheduler: str = "static",
-    scheduler_config=None,
 ) -> GatewayBenchResult:
     """Measure every enforcement path over one identical replay.
 
     ``backend`` selects how the sharded rows execute: ``"sequential"``
-    (in-process model), ``"process"`` (fork-per-batch), or ``"pool"``
-    (persistent worker pool).  Reported shard throughput stays the
-    modelled parallel wall (slowest shard) in every mode so the rows
-    remain comparable; the backend choice proves verdict identity on
-    the real execution engine.  Fork-based backends need the POSIX
-    ``fork`` start method and degrade to sequential elsewhere.
-
-    ``scheduler="adaptive"`` (pool backend only) lets a
-    :class:`~repro.runtime.scheduler.BatchScheduler` chunk each sharded
-    row's replay into per-worker batches instead of the single batch
-    per worker the static split ships; the sharded rows gain an
-    ``-adaptive`` suffix.
+    (in-process model) or ``"pool"`` (persistent worker pool).  Reported
+    shard throughput stays the modelled parallel wall (slowest shard) in
+    both modes so the rows remain comparable; the backend choice proves
+    verdict identity on the real execution engine.  The pool needs the
+    POSIX ``fork`` start method and degrades to sequential elsewhere.
     """
     if packets < 1:
         raise ValueError("the replay needs at least one packet")
@@ -328,16 +319,12 @@ def run_gateway_bench(
         name = f"sharded-{num_shards}"
         if backend != "sequential":
             name += f"-{backend}"
-        if scheduler != "static":
-            name += f"-{scheduler}"
         sharded = ShardedEnforcer(
             database=database,
             policy=policy,
             num_shards=num_shards,
             keep_records=keep_records,
             backend=backend,
-            scheduler=scheduler,
-            scheduler_config=scheduler_config,
         )
         batch = sharded.process_batch_timed(replay)
         snapshot = _snapshot(

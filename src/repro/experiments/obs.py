@@ -319,30 +319,9 @@ class ObsProfile:
     prometheus: str = ""
     jsonl: str = ""
     degraded: bool = False
-    #: Batch scheduling mode the replay ran under.
-    scheduler: str = "static"
-    #: Resize decisions the adaptive scheduler took, in order.
-    scheduler_decisions: list = field(default_factory=list)
-    #: Final per-worker batch-size caps (adaptive runs only).
-    batch_caps: tuple = ()
 
     def final_frame(self) -> str:
         return self.frames[-1] if self.frames else "(no frames captured)"
-
-    def scheduler_summary(self) -> str:
-        if self.scheduler != "adaptive":
-            return "scheduler: static (one batch per worker per burst)"
-        caps = ", ".join(str(cap) for cap in self.batch_caps) or "-"
-        lines = [
-            f"scheduler: adaptive — {len(self.scheduler_decisions)} resize "
-            f"decision(s), final per-worker caps [{caps}]"
-        ]
-        for decision in self.scheduler_decisions:
-            lines.append(
-                f"  w{decision.worker}: {decision.action} ({decision.reason}) "
-                f"-> {decision.size}"
-            )
-        return "\n".join(lines)
 
 
 def run_obs_profile(
@@ -354,8 +333,6 @@ def run_obs_profile(
     batches: int = 8,
     sample_every: int = 32,
     frames: int = 4,
-    scheduler: str = "static",
-    scheduler_config=None,
 ) -> ObsProfile:
     """Replay once instrumented and capture live profiler frames.
 
@@ -364,12 +341,6 @@ def run_obs_profile(
     the closing frame folds the cumulative enforcer stats and pool
     health gauges into the registry before export, so the Prometheus
     and JSONL text carry the full picture.
-
-    ``scheduler="adaptive"`` runs the replay under a
-    :class:`~repro.runtime.scheduler.BatchScheduler` wired to this
-    profiler's health monitor, so queue-depth/backlog alerts snap batch
-    caps to the floor live; the decisions it took come back on the
-    profile.
     """
     if frames < 1:
         raise ValueError("need at least one profiler frame")
@@ -387,14 +358,9 @@ def run_obs_profile(
         num_shards=shards,
         keep_records=False,
         backend="pool",
-        scheduler=scheduler,
-        scheduler_config=scheduler_config,
     )
     enforcer.attach_obs(obs)
     monitor = PoolHealthMonitor(HealthThresholds(), source="obs-cli")
-    if enforcer.scheduler is not None:
-        # Health alerts the profiler raises snap the live batch caps.
-        enforcer.scheduler.attach_monitor(monitor)
     degraded = enforcer.backend != "pool"
 
     profile = ObsProfile(
@@ -403,7 +369,6 @@ def run_obs_profile(
         batches=len(bursts),
         backend=enforcer.backend,
         degraded=degraded,
-        scheduler=scheduler,
     )
     every = max(1, -(-len(bursts) // frames))
     for index, burst in enumerate(bursts):
@@ -433,9 +398,6 @@ def run_obs_profile(
     if health is not None:
         record_pool_health(obs.registry, health)
     profile.events = list(monitor.events)
-    if enforcer.scheduler is not None:
-        profile.scheduler_decisions = list(enforcer.scheduler.decisions)
-        profile.batch_caps = tuple(enforcer.scheduler.sizes())
     profile.prometheus = to_prometheus(obs.registry)
     profile.jsonl = to_jsonl(obs.registry)
     enforcer.close()

@@ -24,26 +24,21 @@ Backends
 ``backend="sequential"`` (the default) executes the shard groups one
 after another and *models* the parallel wall-clock as the slowest group
 — cheap, deterministic, and how every verdict-identity check runs.
-``backend="process"`` is the real thing: each non-empty shard group is
-handed to a forked worker process (one per shard, mirroring one NFQUEUE
-consumer per core), verdicts and counter deltas are piped back and
-stitched into input order, and :attr:`BatchResult.measured_wall_s` is
-the *actual* elapsed wall-clock — the number that validates the model.
-Workers are forked per batch, so they always see the parent's current
-policy state (no staleness under live policy churn); the price is that
-flow-cache warm-up inside a batch stays in the child and is not carried
-to the next batch.
-``backend="pool"`` replaces fork-per-batch with the persistent
-:class:`~repro.runtime.pool.ShardWorkerPool`: one long-lived worker per
-shard holding its own compiled policy and flow cache *across* batches,
-fed over pipes (payloads on a shared-memory ring), with policy changes
-pushed as delta records — see :mod:`repro.runtime.pool`.  Attach the
-governing :class:`~repro.core.policy_store.PolicyStore` via
+``backend="pool"`` runs the shards genuinely in parallel on the
+persistent :class:`~repro.runtime.pool.ShardWorkerPool`: one long-lived
+worker per shard (one NFQUEUE consumer per core) holding its own
+compiled policy and flow cache *across* batches, fed over pipes
+(payloads on a shared-memory ring), with policy changes pushed as delta
+records — see :mod:`repro.runtime.pool`.  Verdicts, counter deltas and
+audit records come back and are stitched into input order, and
+:attr:`BatchResult.measured_wall_s` is the *actual* elapsed wall-clock
+— the number that validates the model.  Attach the governing
+:class:`~repro.core.policy_store.PolicyStore` via
 :meth:`ShardedEnforcer.attach_control` to get the surgical record-push
 path; without it every policy change ships as a pickled full sync.
 
-On platforms without the fork start method, constructing either
-parallel backend degrades to sequential execution with a logged warning
+On platforms without the fork start method, constructing the pool
+backend degrades to sequential execution with a logged warning
 (``degraded`` flag, ``backend_fallbacks`` stat) instead of raising —
 a gateway must come up and enforce even where it cannot parallelise.
 """
@@ -68,72 +63,29 @@ from repro.netstack.netfilter import Verdict, flow_hash
 logger = logging.getLogger(__name__)
 
 #: Supported :meth:`ShardedEnforcer.process_batch_timed` execution backends.
-BACKENDS = ("sequential", "process", "pool")
+BACKENDS = ("sequential", "pool")
 
 
 def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _require_fork_context():
-    """The fork start method keeps workers cheap (no re-import, no enforcer
-    pickling) and inheriting the parent's current policy state; platforms
-    without it (Windows, some macOS configs) must use the sequential
-    backend."""
-    if not _fork_available():
-        raise RuntimeError(
-            "the 'process' shard backend needs the fork start method; "
-            "use backend='sequential' on this platform"
-        )
-    return multiprocessing.get_context("fork")
+def check_complete(results: list, what: str, error=RuntimeError) -> list:
+    """Return ``results`` if every position holds a verdict, else raise.
 
-
-def _shard_worker(conn, shard: PolicyEnforcer, packets: list[IPPacket]) -> None:
-    """Process one shard's packet group in a forked worker.
-
-    Reports back (elapsed seconds, verdict values in group order, the
-    stats accrued, any new audit records) — everything the parent needs
-    to fold the work into its own shard state.
+    Filtering unfilled positions out would hand back a shorter list that
+    reads as "fewer packets" downstream; the error names the evidence.
     """
-    try:
-        stats_before = shard.stats.copy()
-        # Capture the batch's records in a plain list instead of slicing
-        # the shard's store: the store is a bounded AuditLog ring (a
-        # full ring keeps a constant length, so a length-based slice
-        # reads as "no new records" forever), and with
-        # ``keep_records=False`` it stores nothing at all — yet the
-        # parent still needs every record of the batch to republish
-        # into its audit sink.  The fork's shard state dies with the
-        # worker, so swapping the hooks out is safe.  ``keep_records``
-        # itself must NOT be flipped: it steers the decision path (a
-        # kept record decodes signatures and counts a full decode), so
-        # forcing it on would make the forked backend publish different
-        # records — and different stats — than the sequential backend
-        # under the identical configuration.
-        captured: list = []
-        if shard.keep_records:
-            shard.records = captured
-            # The parent republishes the piped-back records, so the
-            # child must not also run its inherited copy of the sink:
-            # a sink backed by a spooling AuditLog would write segment
-            # files from inside the fork that collide with the
-            # parent's.
-            shard._sink_publish = None
-        elif shard.audit_sink is not None:
-            shard._sink_publish = lambda record, _source="": captured.append(record)
-        started = time.perf_counter()
-        results = [shard.process(packet) for packet in packets]
-        elapsed = time.perf_counter() - started
-        conn.send(
-            (
-                elapsed,
-                [verdict.value for verdict, _ in results],
-                shard.stats.delta_since(stats_before),
-                captured,
-            )
-        )
-    finally:
-        conn.close()
+    if None not in results:
+        return results
+    missing = [position for position, result in enumerate(results) if result is None]
+    preview = ", ".join(str(position) for position in missing[:8])
+    if len(missing) > 8:
+        preview += ", ..."
+    raise error(
+        f"{what} lost {len(missing)} of {len(results)} result(s) "
+        f"(positions {preview}); no verdict came back for them"
+    )
 
 
 @dataclass
@@ -148,8 +100,8 @@ class BatchResult:
 
     ``measured_wall_s`` is the wall-clock the burst *actually* took:
     for the sequential backend that is the sum of the shard times (the
-    simulation really ran them back to back); for the process backend
-    it is the end-to-end elapsed time of the forked fan-out — fork,
+    simulation really ran them back to back); for the pool backend it
+    is the submit-to-harvest elapsed time of the parallel fan-out — IPC,
     parallel processing, and result harvesting included — which is what
     validates the modelled :attr:`parallel_wall_s` on real hardware.
     """
@@ -183,40 +135,18 @@ class ShardedEnforcer:
         num_shards: int = 4,
         backend: str = "sequential",
         ring_bytes: int | None = None,
-        scheduler: str = "static",
-        scheduler_config=None,
         **enforcer_kwargs,
     ) -> None:
         if num_shards < 1:
             raise ValueError("need at least one enforcer shard")
         if backend not in BACKENDS:
             raise ValueError(f"unknown shard backend {backend!r}; choose from {BACKENDS}")
-        from repro.runtime.scheduler import BatchScheduler, validate_scheduler
-
-        validate_scheduler(scheduler)
-        if scheduler == "adaptive" and backend != "pool":
-            raise ValueError("the adaptive batch scheduler needs backend='pool'")
-        #: ``"static"`` (one batch per worker per burst) or ``"adaptive"``.
-        self.scheduler_mode = scheduler
-        #: The live :class:`~repro.runtime.scheduler.BatchScheduler`
-        #: (None in static mode).  Callers may ``attach_monitor`` a
-        #: :class:`~repro.obs.health.PoolHealthMonitor` on it so backlog
-        #: alerts snap batch sizes to the floor.
-        self.scheduler = (
-            BatchScheduler(
-                num_workers=num_shards,
-                config=scheduler_config,
-                pool="shard-pool",
-            )
-            if scheduler == "adaptive"
-            else None
-        )
         #: The backend asked for at construction; ``backend`` is the one
         #: actually in effect (they differ only after degradation).
         self.requested_backend = backend
         self.degraded = False
         self._local_stats = EnforcerStats()
-        if backend in ("process", "pool") and not _fork_available():
+        if backend == "pool" and not _fork_available():
             logger.warning(
                 "shard backend %r needs the fork start method, which this "
                 "platform lacks; degrading to sequential execution",
@@ -353,13 +283,6 @@ class ShardedEnforcer:
             from repro.runtime.pool import ShardWorkerPool
             from repro.runtime.ring import DEFAULT_RING_BYTES
 
-            if self.scheduler is not None and self._obs is None:
-                # The adaptive scheduler is driven by the obs layer's
-                # batch traces and histograms; give it a private bundle
-                # when the caller did not attach one.
-                from repro.obs.instrument import RuntimeObservability
-
-                self.attach_obs(RuntimeObservability())
             ring_bytes = (
                 DEFAULT_RING_BYTES if self._ring_bytes is None else self._ring_bytes
             )
@@ -369,8 +292,6 @@ class ShardedEnforcer:
                 ring_bytes=ring_bytes,
                 obs=self._obs,
             )
-            if self.scheduler is not None:
-                self.scheduler.bind_obs(self._obs)
             # The finalizer holds only the pool (not self): leaked
             # enforcers still reap their daemon workers at GC.
             self._pool_finalizer = weakref.finalize(self, self._pool.close)
@@ -417,11 +338,10 @@ class ShardedEnforcer:
 
         All shards share the gateway's source label: telemetry
         aggregates per gateway, and inside a gateway the shards are one
-        logical enforcement point.  With the ``process`` backend the
-        workers' sink copies die with the fork, so each worker captures
-        its batch's records and the parent republishes them (see
-        :meth:`_process_batch_forked`) — ``keep_records`` does not need
-        to be on for that.
+        logical enforcement point.  With the ``pool`` backend the
+        workers never publish into their sink copies: each worker
+        captures its batch's records and the parent republishes them —
+        ``keep_records`` does not need to be on for that.
         """
         # Pool workers install their capture hooks at fork time; a sink
         # attached afterwards would go unseen, so respawn them (fails
@@ -445,8 +365,6 @@ class ShardedEnforcer:
         """
         self._restart_pool()
         self._obs = obs
-        if self.scheduler is not None and obs is not None:
-            self.scheduler.bind_obs(obs)
         enforcer_obs = None if obs is None else obs.enforcer
         for shard in self.shards:
             shard.attach_observability(enforcer_obs)
@@ -492,8 +410,8 @@ class ShardedEnforcer:
         each group is processed on its shard in one timed run (the
         simulation executes shards sequentially, but the groups are
         independent, so the slowest group is the parallel-deployment
-        bottleneck); the ``process`` backend forks one worker per
-        non-empty group and runs them genuinely in parallel.
+        bottleneck); the ``pool`` backend hands each group to its
+        persistent shard worker and runs them genuinely in parallel.
         """
         backend = self.backend if backend is None else backend
         if backend not in BACKENDS:
@@ -502,8 +420,6 @@ class ShardedEnforcer:
         for position, packet in enumerate(packets):
             groups[self.shard_index(packet)].append(position)
 
-        if backend == "process" and packets:
-            return self._process_batch_forked(packets, groups)
         if backend == "pool" and packets:
             return self._process_batch_pooled(packets)
 
@@ -516,88 +432,24 @@ class ShardedEnforcer:
                 results[position] = shard.process(packets[position])
             elapsed.append(time.perf_counter() - started)
         return BatchResult(
-            results=[result for result in results if result is not None],
+            results=check_complete(results, "sequential shard burst"),
             shard_elapsed_s=elapsed,
             shard_packet_counts=[len(positions) for positions in groups],
             backend="sequential",
             measured_wall_s=time.perf_counter() - started_batch,
         )
 
-    def _process_batch_forked(
-        self, packets: list[IPPacket], groups: list[list[int]]
-    ) -> BatchResult:
-        """One forked worker per non-empty shard group, results stitched back.
-
-        Forking at batch time means every worker inherits the shards'
-        *current* compiled policy and flow-cache state — live policy
-        churn between batches needs no worker resynchronisation.  Each
-        worker's verdicts, counter deltas and audit records are folded
-        back into the parent shard, so stats and records read exactly as
-        if the batch had run sequentially; only in-batch cache warm-up
-        stays behind in the child.
-        """
-        ctx = _require_fork_context()
-        started_batch = time.perf_counter()
-        workers = []
-        for shard_index, positions in enumerate(groups):
-            if not positions:
-                continue
-            receiver, sender = ctx.Pipe(duplex=False)
-            worker = ctx.Process(
-                target=_shard_worker,
-                args=(
-                    sender,
-                    self.shards[shard_index],
-                    [packets[position] for position in positions],
-                ),
-            )
-            worker.start()
-            sender.close()
-            workers.append((shard_index, positions, receiver, worker))
-
-        results: list[tuple[Verdict, IPPacket] | None] = [None] * len(packets)
-        elapsed = [0.0] * self.num_shards
-        try:
-            for shard_index, positions, receiver, worker in workers:
-                shard_elapsed, verdict_values, stats_delta, new_records = receiver.recv()
-                elapsed[shard_index] = shard_elapsed
-                for position, value in zip(positions, verdict_values):
-                    results[position] = (Verdict(value), packets[position])
-                shard = self.shards[shard_index]
-                shard.stats.merge(stats_delta)
-                if shard.keep_records:
-                    shard.records.extend(new_records)
-                if shard.audit_sink is not None:
-                    # The worker's in-fork sink state is gone; replay the
-                    # piped-back records into the parent's pipeline so
-                    # telemetry sees the batch exactly once.
-                    for record in new_records:
-                        shard.audit_sink.publish(record, shard.audit_source)
-        finally:
-            for _, _, receiver, worker in workers:
-                receiver.close()
-                worker.join()
-        return BatchResult(
-            results=[result for result in results if result is not None],
-            shard_elapsed_s=elapsed,
-            shard_packet_counts=[len(positions) for positions in groups],
-            backend="process",
-            measured_wall_s=time.perf_counter() - started_batch,
-        )
-
     def _process_batch_pooled(self, packets: list[IPPacket]) -> BatchResult:
         """One synchronous burst through the persistent worker pool.
 
-        Unlike the forked backend there is no per-batch setup: workers
-        already exist, already hold the current compiled policy (kept
-        current by delta pushes), and keep their flow caches warm
-        *across* batches.  ``measured_wall_s`` is submit-to-harvest
+        There is no per-batch setup: workers already exist, already hold
+        the current compiled policy (kept current by delta pushes), and
+        keep their flow caches warm *across* batches.  ``measured_wall_s`` is submit-to-harvest
         wall-clock, so the amortized IPC cost per batch is directly
         visible next to the modelled compute time.
         """
         pool = self._ensure_pool()
-        sizes = None if self.scheduler is None else self.scheduler.plan()
-        burst = pool.collect(pool.submit(packets, batch_sizes=sizes))
+        burst = pool.collect(pool.submit(packets))
         return BatchResult(
             results=burst.results,
             shard_elapsed_s=burst.worker_elapsed_s,
@@ -628,9 +480,7 @@ class ShardedEnforcer:
             self._next_sync_token += 1
             self._sync_bursts[token] = self.process_batch_timed(packets)
             return token
-        pool = self._ensure_pool()
-        sizes = None if self.scheduler is None else self.scheduler.plan()
-        return pool.submit(packets, batch_sizes=sizes)
+        return self._ensure_pool().submit(packets)
 
     def collect_batch(self, token: int | None = None) -> BatchResult:
         """Harvest a submitted burst (default: the oldest outstanding)."""

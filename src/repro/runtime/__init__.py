@@ -15,13 +15,6 @@ from repro.runtime.pool import (
     fork_available,
     fork_context,
 )
-from repro.runtime.scheduler import (
-    SCHEDULERS,
-    BatchScheduler,
-    SchedulerConfig,
-    SchedulerDecision,
-    validate_scheduler,
-)
 from repro.runtime.ring import (
     DEFAULT_RING_BYTES,
     PacketRing,
@@ -34,19 +27,14 @@ from repro.runtime.ring import (
 __all__ = [
     "DEFAULT_MAX_INFLIGHT",
     "DEFAULT_RING_BYTES",
-    "BatchScheduler",
     "GatewayWorkerPool",
     "PacketRing",
     "PoolBurst",
     "PoolUnavailableError",
     "RingCodecError",
-    "SCHEDULERS",
-    "SchedulerConfig",
-    "SchedulerDecision",
     "ShardWorkerPool",
     "WorkerPool",
     "WorkerPoolError",
-    "validate_scheduler",
     "decode_batch",
     "encode_batch",
     "encode_packet",

@@ -1,10 +1,8 @@
 """Persistent worker-pool runtime for shard- and gateway-level parallelism.
 
-The ``process`` shard backend validates the parallel model but pays a
-full ``fork()`` plus result-pipe setup for *every* batch, and loses each
-batch's flow-cache warm-up with the worker.  This module is the
-long-lived alternative — the multiprocessing worker-pool idiom of
-SNIPPETS.md Snippet 1: workers are forked **once**, each holding its own
+This module is the one parallel backend of the sharded enforcer and the
+gateway fleet — the multiprocessing worker-pool idiom of SNIPPETS.md
+Snippet 1: workers are forked **once**, each holding its own
 enforcer (compiled policy, flow cache) and, when a control store is
 attached, its own :class:`~repro.core.policy_store.GatewayReplica`
 shadow state; packet batches stream to them over pipes (payloads ride a
@@ -41,9 +39,8 @@ fresh fork is spawned from the parent's *current* state and every
 unacknowledged batch is replayed to it, so no packet is silently
 dropped.  Replayed batches enforce at the respawned worker's (current)
 policy version — under live churn a crash can therefore surface
-post-edit verdicts for a pre-edit batch, the same semantics as the
-fork-per-batch backend.  Crash/respawn/replay counters surface in
-:class:`~repro.core.policy_enforcer.EnforcerStats`.
+post-edit verdicts for a pre-edit batch.  Crash/respawn/replay counters
+surface in :class:`~repro.core.policy_enforcer.EnforcerStats`.
 
 Exactly-once accounting
 -----------------------
@@ -71,6 +68,7 @@ from repro.netstack.ip import IPPacket
 from repro.obs.instrument import EnforcerObservability
 from repro.obs.trace import BatchTrace
 from repro.netstack.netfilter import Verdict, flow_hash
+from repro.netstack.sharding import check_complete
 from repro.runtime.ring import (
     DEFAULT_RING_BYTES,
     PacketRing,
@@ -97,7 +95,7 @@ class WorkerPoolError(RuntimeError):
 
 def fork_available() -> bool:
     """Whether this platform supports the fork start method the pools
-    (and the fork-per-batch backend) require."""
+    require."""
     return "fork" in multiprocessing.get_all_start_methods()
 
 
@@ -193,11 +191,18 @@ def _aggregate_stats(units) -> EnforcerStats:
 def _install_capture(units, captured: list) -> None:
     """Redirect every unit's record/sink hooks into ``captured``.
 
-    Same contract as the fork-per-batch worker: the worker's in-fork
-    sink state dies with it, so records are piped back for the parent
-    to republish exactly once; ``keep_records`` is NOT flipped because
-    it steers the decision path (and therefore stats) — see
-    ``repro.netstack.sharding._shard_worker``.
+    Records go to a plain list rather than the unit's store: the store
+    is a bounded AuditLog ring (a full ring keeps a constant length, so
+    a length-based slice reads as "no new records" forever), and with
+    ``keep_records=False`` it stores nothing at all — yet the parent
+    still needs every record of the batch to republish into its audit
+    sink.  The worker must not also run its inherited copy of the sink:
+    a sink backed by a spooling AuditLog would write segment files from
+    inside the fork that collide with the parent's.  ``keep_records``
+    itself is NOT flipped: it steers the decision path (a kept record
+    decodes signatures and counts a full decode), so forcing it on would
+    make the pool publish different records — and different stats —
+    than the sequential backend under the identical configuration.
     """
     for unit in units:
         if unit.keep_records:
@@ -382,11 +387,10 @@ class _Burst:
         self.token = token
         self.packets = packets
         self.results = [None] * len(packets)
-        #: Worker index -> outstanding batch count.  ``submit`` finalizes
-        #: every count before the first dispatch (a scheduler may chunk
-        #: one worker's group into several batches, and a pump inside
-        #: dispatch can complete early chunks of this very burst).
-        self.remaining: dict[int, int] = {}
+        #: Workers still owing this burst their batch.  Filled before the
+        #: first dispatch: a pump inside dispatch can complete an earlier
+        #: worker's batch of this very burst.
+        self.remaining = {index for index, group in enumerate(groups) if group}
         self.elapsed = [0.0] * num_workers
         self.counts = [len(group) for group in groups]
         self.started = time.perf_counter()
@@ -565,16 +569,10 @@ class WorkerPool:
 
     # -- data plane --------------------------------------------------------------------
 
-    def submit(self, packets: list[IPPacket], batch_sizes=None) -> int:
+    def submit(self, packets: list[IPPacket]) -> int:
         """Route a burst to the workers; returns a token for :meth:`collect`.
 
-        ``batch_sizes[i]``, when given, caps worker *i*'s batch size:
-        its routed group is split into consecutive chunks of at most
-        that many packets (the
-        :class:`~repro.runtime.scheduler.BatchScheduler`'s lever).
-        Chunking moves batch *boundaries* only — routing stays with the
-        flow hash and the per-worker FIFO keeps intra-flow order — so
-        verdicts are identical to an unchunked submit.
+        Each worker gets its whole flow-hash group as one batch.
         """
         self._check_open()
         groups: list[list[int]] = [[] for _ in self._workers]
@@ -582,32 +580,11 @@ class WorkerPool:
             groups[self._route(packet)].append(position)
         token = self._next_token
         self._next_token += 1
-        burst = _Burst(token, packets, groups, len(self._workers))
-        self._bursts[token] = burst
-        plan: list[tuple[_PoolWorker, deque]] = []
-        for index, positions in enumerate(groups):
-            if not positions:
-                continue
-            size = len(positions)
-            if batch_sizes is not None and batch_sizes[index]:
-                size = max(1, min(size, int(batch_sizes[index])))
-            chunks = deque(
-                positions[start : start + size]
-                for start in range(0, len(positions), size)
-            )
-            burst.remaining[index] = len(chunks)
-            plan.append((self._workers[index], chunks))
-        # Round-robin across workers so a deep chunk queue on one worker
-        # never starves the others of their first batch.
-        while plan:
-            next_round = []
-            for worker, chunks in plan:
-                positions = chunks.popleft()
+        self._bursts[token] = _Burst(token, packets, groups, len(self._workers))
+        for worker, positions in zip(self._workers, groups):
+            if positions:
                 group = [packets[position] for position in positions]
                 self._dispatch(worker, token, positions, group)
-                if chunks:
-                    next_round.append((worker, chunks))
-            plan = next_round
         return token
 
     def collect(self, token: int | None = None) -> PoolBurst:
@@ -629,22 +606,9 @@ class WorkerPool:
             raise burst.failed
         if not burst.wall_s:
             burst.wall_s = time.perf_counter() - burst.started
-        missing = [
-            position for position, result in enumerate(burst.results) if result is None
-        ]
-        if missing:
-            # Every batch acked but positions stayed unfilled: a protocol
-            # bug dropped packets.  Silently returning a shorter result
-            # list would read as "fewer packets" downstream — raise with
-            # the evidence instead.
-            preview = ", ".join(str(position) for position in missing[:8])
-            if len(missing) > 8:
-                preview += ", ..."
-            raise WorkerPoolError(
-                f"{self._name} burst {token} lost {len(missing)} of "
-                f"{len(burst.packets)} result(s) (positions {preview}); "
-                "a batch was dropped without an error reply"
-            )
+        # Every batch acked but positions stayed unfilled: a protocol bug
+        # dropped packets.
+        check_complete(burst.results, f"{self._name} burst {token}", WorkerPoolError)
         return PoolBurst(
             results=burst.results,
             worker_elapsed_s=burst.elapsed,
@@ -860,11 +824,7 @@ class WorkerPool:
                 for position, value in zip(pending.positions, verdict_values):
                     burst.results[position] = (Verdict(value), burst.packets[position])
                 burst.elapsed[worker.index] += elapsed
-                left = burst.remaining.get(worker.index, 0) - 1
-                if left > 0:
-                    burst.remaining[worker.index] = left
-                else:
-                    burst.remaining.pop(worker.index, None)
+                burst.remaining.discard(worker.index)
                 if not burst.remaining:
                     burst.wall_s = time.perf_counter() - burst.started
         elif kind == "flush":
@@ -1099,9 +1059,8 @@ class ShardWorkerPool(WorkerPool):
 class GatewayWorkerPool(WorkerPool):
     """One persistent worker per fleet gateway, forked around the fleet's
     own :class:`GatewayReplica` (enforcer + shadow store).  Workers run
-    their gateway's shards sequentially in-process — nesting an active
-    pool inside a forked worker is exactly the hazard the fleet-level
-    constructor validates away."""
+    their gateway's shards sequentially in-process: fleet gateways
+    always use the sequential shard backend."""
 
     def __init__(
         self,

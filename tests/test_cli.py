@@ -300,14 +300,16 @@ class TestFleetCommand:
         assert args.backend == "pool"
         args = build_parser().parse_args(["fleet"])
         assert args.backend == "serial"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fleet", "--backend", "threads"])
+        for rejected in ("threads", "process"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["fleet", "--backend", rejected])
 
     def test_gateway_bench_backend_flag_parses(self):
         args = build_parser().parse_args(["gateway-bench", "--backend", "pool"])
         assert args.backend == "pool"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["gateway-bench", "--backend", "fork"])
+        for rejected in ("fork", "process"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["gateway-bench", "--backend", rejected])
 
     def test_backend_help_notes_fork_requirement(self):
         parser = build_parser()

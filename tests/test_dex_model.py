@@ -54,6 +54,19 @@ class TestClassDef:
         with pytest.raises(ValueError):
             class_def.add_method(make_method())
 
+    def test_duplicate_check_follows_direct_list_edits(self):
+        # ``methods`` is a public list; the signature index behind the
+        # duplicate check must see appends and reassignments made to it.
+        class_def = ClassDef(descriptor="Lcom/x/Y;")
+        class_def.add_method(make_method(name="a"))
+        class_def.methods.append(make_method(name="b"))
+        with pytest.raises(ValueError):
+            class_def.add_method(make_method(name="b"))
+        class_def.methods = [make_method(name="c")]
+        class_def.add_method(make_method(name="a"))
+        with pytest.raises(ValueError):
+            class_def.add_method(make_method(name="c"))
+
     def test_find_methods_returns_all_overloads(self):
         class_def = ClassDef(descriptor="Lcom/x/Y;")
         class_def.add_method(make_method(params=()))

@@ -1,9 +1,9 @@
 """Tests for the fleet runtime: delta-log replication, gateway replicas,
-the multiprocessing shard backend, device fleets and multi-gateway
+the worker-pool shard backend, device fleets and multi-gateway
 deployments.
 
 The common thread mirrors the fast-path suites: no matter how the
-deployment is scaled out — replicated gateways, forked shard workers,
+deployment is scaled out — replicated gateways, pooled shard workers,
 staged catch-up — enforcement must stay verdict-identical to one
 gateway applying the same policy versions.
 """
@@ -27,6 +27,7 @@ from repro.core.policy_store import (
 from repro.netstack.ip import IPPacket
 from repro.netstack.netfilter import Verdict
 from repro.netstack.sharding import ShardedEnforcer
+from repro.runtime.pool import fork_available
 from repro.network.topology import EnterpriseNetwork, NetworkConfig
 from repro.workloads.corpus import CorpusConfig, CorpusGenerator
 from repro.workloads.fleet import DeviceFleet, DeviceFleetConfig
@@ -267,60 +268,58 @@ class TestGatewayReplica:
             replica.catch_up(store.delta_log)
 
 
-class TestProcessBackend:
+needs_fork = pytest.mark.skipif(not fork_available(), reason="the pool backend needs fork")
+
+
+class TestPoolBackend:
+    """Records, stats and telemetry of pool-backed shards fold back into
+    the parent exactly as the sequential backend would leave them."""
+
     def test_unknown_backend_rejected(self, database):
-        with pytest.raises(ValueError):
-            ShardedEnforcer(database=database, num_shards=2, backend="threads")
+        # "process" named a removed backend; the pool is the parallel one.
+        for backend in ("threads", "process"):
+            with pytest.raises(ValueError, match="unknown shard backend"):
+                ShardedEnforcer(database=database, num_shards=2, backend=backend)
 
-    def test_forked_verdicts_match_sequential(self, database):
-        policy = Policy.deny_libraries(["com/flurry"])
-        sequential = ShardedEnforcer(database=database, policy=policy, num_shards=3)
-        forked = ShardedEnforcer(
-            database=database, policy=policy, num_shards=3, backend="process"
-        )
-        packets = replay_packets(40)
-        expected = [v for v, _ in sequential.process_batch(packets)]
-        batch = forked.process_batch_timed(packets)
-        assert [v for v, _ in batch.results] == expected
-        assert batch.backend == "process"
-        assert batch.measured_wall_s > 0
-
-    def test_forked_stats_and_records_fold_back_into_parent(self, database):
-        forked = ShardedEnforcer(
+    @needs_fork
+    def test_pool_stats_and_records_fold_back_into_parent(self, database):
+        pooled = ShardedEnforcer(
             database=database,
             policy=Policy.deny_libraries(["com/flurry"]),
             num_shards=2,
-            backend="process",
+            backend="pool",
         )
         packets = replay_packets(30)
-        forked.process_batch_timed(packets)
-        stats = forked.aggregate_stats()
+        pooled.process_batch_timed(packets)
+        stats = pooled.aggregate_stats()
         assert stats.packets_seen == len(packets)
         assert stats.packets_allowed + stats.packets_dropped == len(packets)
-        assert len(forked.records) == len(packets)
-        assert [r.packet_id for r in forked.records] == sorted(
-            r.packet_id for r in forked.records
+        assert len(pooled.records) == len(packets)
+        assert [r.packet_id for r in pooled.records] == sorted(
+            r.packet_id for r in pooled.records
         )
+        pooled.close()
 
-    def test_forked_batches_publish_to_audit_sink_without_keep_records(self, database):
+    @needs_fork
+    def test_pool_batches_publish_to_audit_sink_without_keep_records(self, database):
         from repro.telemetry.pipeline import TelemetryPipeline
 
-        forked = ShardedEnforcer(
+        pooled = ShardedEnforcer(
             database=database,
             policy=Policy.deny_libraries(["com/flurry"]),
             num_shards=2,
-            backend="process",
+            backend="pool",
             keep_records=False,
         )
         pipeline = TelemetryPipeline(window_packets=256)
-        forked.attach_audit_sink(pipeline, "gw0")
+        pooled.attach_audit_sink(pipeline, "gw0")
         packets = replay_packets(30)
-        forked.process_batch_timed(packets)
+        pooled.process_batch_timed(packets)
         # The data plane's publish contract holds across the fork even
         # though nothing is stored: the workers capture their batches
         # and the parent republishes them.
         assert pipeline.records_seen == len(packets)
-        assert len(forked.records) == 0
+        assert len(pooled.records) == 0
         # ...and capturing must not flip keep_records in the worker:
         # that would steer the decision path into decoding signatures,
         # publishing different records (and stats) than the sequential
@@ -334,33 +333,36 @@ class TestProcessBackend:
         twin = TelemetryPipeline(window_packets=256)
         sequential.attach_audit_sink(twin, "gw0")
         sequential.process_batch_timed(packets)
-        assert forked.aggregate_stats().full_decodes == (
+        assert pooled.aggregate_stats().full_decodes == (
             sequential.aggregate_stats().full_decodes
         )
         assert pipeline.aggregator.snapshot() == twin.aggregator.snapshot()
+        pooled.close()
 
-    def test_forked_workers_never_publish_into_their_sink_copies(self, database, tmp_path):
+    @needs_fork
+    def test_pool_workers_never_publish_into_their_sink_copies(self, database, tmp_path):
         from repro.telemetry.audit import AuditLog
         from repro.telemetry.pipeline import TelemetryPipeline
 
-        # Regression: with keep_records=True the fork used to run its
-        # inherited sink copy too — a spooling AuditLog behind the sink
-        # then wrote segment files from inside the workers that collided
-        # with the parent's, corrupting the round-trip.
-        forked = ShardedEnforcer(
+        # With keep_records=True a worker running its inherited sink copy
+        # would make a spooling AuditLog behind the sink write segment
+        # files from inside the fork that collide with the parent's,
+        # corrupting the round-trip.
+        pooled = ShardedEnforcer(
             database=database,
             policy=Policy.deny_libraries(["com/flurry"]),
             num_shards=2,
-            backend="process",
+            backend="pool",
             keep_records=True,
         )
         pipeline = TelemetryPipeline(
             window_packets=256,
             audit_log=AuditLog(spool_dir=tmp_path, segment_records=4),
         )
-        forked.attach_audit_sink(pipeline, "gw0")
+        pooled.attach_audit_sink(pipeline, "gw0")
         packets = replay_packets(30)
-        forked.process_batch_timed(packets)
+        pooled.process_batch_timed(packets)
+        pooled.close()
         pipeline.flush()
         assert pipeline.records_seen == len(packets)
         spooled = AuditLog.load_segments(tmp_path)
@@ -368,45 +370,51 @@ class TestProcessBackend:
             p.packet_id for p in packets
         )
 
-    def test_forked_batches_publish_past_a_full_record_ring(self, database):
+    @needs_fork
+    def test_pool_batches_publish_past_a_full_record_ring(self, database):
         from repro.telemetry.pipeline import TelemetryPipeline
 
-        forked = ShardedEnforcer(
+        pooled = ShardedEnforcer(
             database=database,
             policy=Policy.deny_libraries(["com/flurry"]),
             num_shards=2,
-            backend="process",
+            backend="pool",
             record_capacity=8,  # far smaller than the replay
         )
         pipeline = TelemetryPipeline(window_packets=256)
-        forked.attach_audit_sink(pipeline, "gw0")
+        pooled.attach_audit_sink(pipeline, "gw0")
         packets = replay_packets(30)
-        forked.process_batch_timed(packets)
-        forked.process_batch_timed(packets)
-        # Regression: a full bounded ring keeps a constant length, so a
-        # length-based slice in the worker read as "no new records" and
-        # telemetry silently went blind after the ring wrapped.
+        pooled.process_batch_timed(packets)
+        pooled.process_batch_timed(packets)
+        # A full bounded ring keeps a constant length, so a length-based
+        # slice in the worker would read as "no new records" and
+        # telemetry would silently go blind after the ring wrapped.
         assert pipeline.records_seen == 2 * len(packets)
         # The parent ring still holds (only) the most recent records.
-        assert len(forked.records) == 8 * forked.num_shards
+        assert len(pooled.records) == 8 * pooled.num_shards
+        pooled.close()
 
-    def test_policy_churn_between_forked_batches_takes_effect(self, database):
-        # Fork-per-batch workers must always see the parent's current
-        # policy: an edit between batches changes child verdicts too.
+    @needs_fork
+    def test_policy_churn_between_pool_batches_takes_effect(self, database):
+        # Without an attached control store, an edit between batches
+        # reaches the live workers as a full sync.
         store = PolicyStore.from_policy(Policy.deny_libraries(["com/flurry"]))
-        forked = ShardedEnforcer(
-            database=database, policy=store.snapshot(), num_shards=2, backend="process"
+        pooled = ShardedEnforcer(
+            database=database, policy=store.snapshot(), num_shards=2, backend="pool"
         )
-        store.subscribe(forked, push=False)
+        store.subscribe(pooled, push=False)
         packet = make_packet(APP_B_ID, [0, 2])
-        assert forked.process_batch_timed([packet]).results[0][0] is Verdict.ACCEPT
+        assert pooled.process_batch_timed([packet]).results[0][0] is Verdict.ACCEPT
         store.apply(PolicyUpdate().add_rule(DENY_MIXPANEL))
-        assert forked.process_batch_timed([packet]).results[0][0] is Verdict.DROP
+        assert pooled.process_batch_timed([packet]).results[0][0] is Verdict.DROP
+        pooled.close()
 
+    @needs_fork
     def test_empty_batch_is_fine(self, database):
-        forked = ShardedEnforcer(database=database, num_shards=2, backend="process")
-        batch = forked.process_batch_timed([])
+        pooled = ShardedEnforcer(database=database, num_shards=2, backend="pool")
+        batch = pooled.process_batch_timed([])
         assert batch.results == [] and batch.packets == 0
+        pooled.close()
 
 
 class TestChurnStats:
@@ -670,6 +678,12 @@ class TestMultiGatewayDeployment:
         network = EnterpriseNetwork(config=NetworkConfig(num_gateways=2))
         with pytest.raises(ValueError):
             BorderPatrolDeployment(network=network, num_gateways=3)
+
+    def test_shard_backend_is_single_gateway_only(self):
+        # Fleet gateways run their shards in-process; a shard backend
+        # the fleet would ignore is rejected instead.
+        with pytest.raises(ValueError, match="gateway_backend"):
+            BorderPatrolDeployment(num_gateways=2, enforcer_shards=2, shard_backend="pool")
 
     def test_apply_update_converges_every_gateway(self):
         deployment = BorderPatrolDeployment(num_gateways=2)

@@ -345,6 +345,18 @@ class TestShardedEnforcer:
         assert sum(batch.shard_packet_counts) == 32
         assert batch.parallel_wall_s <= batch.serial_wall_s
 
+    def test_unfilled_positions_raise_instead_of_silent_loss(self, database, monkeypatch):
+        # A shard handing back no verdict used to be filtered out of the
+        # stitched results: the burst shrank silently.
+        sharded = ShardedEnforcer(database=database, num_shards=2)
+        packets = [make_packet([0], src_port=47000 + i) for i in range(16)]
+        lost = [i for i, p in enumerate(packets) if sharded.shard_index(p) == 1]
+        assert lost and len(lost) < len(packets)
+        monkeypatch.setattr(sharded.shards[1], "process", lambda packet: None)
+        with pytest.raises(RuntimeError, match=f"lost {len(lost)} of 16") as excinfo:
+            sharded.process_batch_timed(packets)
+        assert f"positions {lost[0]}, " in str(excinfo.value)
+
     def test_set_policy_propagates_to_every_shard(self, database):
         sharded = ShardedEnforcer(database=database, policy=Policy.allow_all(), num_shards=3)
         packets = [make_packet([3], src_port=43000 + i) for i in range(12)]
