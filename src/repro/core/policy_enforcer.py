@@ -38,6 +38,12 @@ implements:
 Both layers are verdict-preserving: for any replay, the fast path and
 the naive path produce identical verdicts, matched rules and reasons.
 
+Every packet goes through one loop, :meth:`PolicyEnforcer.process_batch`
+(:meth:`~PolicyEnforcer.process` is a one-packet burst of it).  A cache
+hit runs inline — tag extraction, cache probe, counters — and builds no
+audit record unless something consumes it: kept records or an attached
+sink.  Only misses call ``_decide``.
+
 Control plane
 -------------
 :meth:`PolicyEnforcer.set_policy` is the legacy whole-replacement path:
@@ -58,11 +64,12 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from time import perf_counter
+from typing import NamedTuple
 
 from repro.core.database import SignatureDatabase
 from repro.core.encoding import EncodingError, IndexWidth, StackTraceEncoder
 from repro.core.policy import CompiledPolicy, DecodedContext, Policy, PolicyDecision
-from repro.netstack.ip import IPPacket
+from repro.netstack.ip import BORDERPATROL_OPTION_TYPE, IPPacket
 from repro.netstack.netfilter import Verdict
 
 #: Canonical integrity-failure reasons.  These are enforcement outcomes
@@ -72,6 +79,7 @@ from repro.netstack.netfilter import Verdict
 REASON_UNTAGGED = "untagged packet"
 REASON_UNKNOWN_APP = "unknown app hash"
 REASON_DECODE_RANGE = "index out of range for app mapping"
+REASON_MALFORMED_TAG = "malformed context tag"
 
 
 @dataclass(frozen=True)
@@ -193,15 +201,22 @@ class EnforcerStats:
         return snapshot
 
 
-@dataclass(frozen=True)
-class _CachedDecision:
-    """What the flow cache remembers about one (flow, tag) combination."""
+class _CachedDecision(NamedTuple):
+    """What the flow cache remembers about one (flow, tag) combination,
+    and the template every :class:`EnforcementRecord` is stamped from."""
 
     verdict: Verdict
     reason: str
     app_id: str
     package_name: str
     signatures: tuple[str, ...]
+
+
+_UNTAGGED_DROP = _CachedDecision(Verdict.DROP, REASON_UNTAGGED, "", "", ())
+_UNTAGGED_ACCEPT = _CachedDecision(Verdict.ACCEPT, REASON_UNTAGGED, "", "", ())
+#: A tag too short for the app identifier, or whose index body does not
+#: split into whole indexes.
+_MALFORMED = _CachedDecision(Verdict.DROP, REASON_MALFORMED_TAG, "", "", ())
 
 
 def distinct_stacks(
@@ -225,8 +240,11 @@ class FlowCache:
 
     Keys are ``(flow 5-tuple, raw tag bytes)``: every field that can
     change the verdict for a given policy.  Values are
-    :class:`_CachedDecision` templates from which per-packet audit
-    records are stamped out on a hit.
+    :class:`_CachedDecision` templates; a hit returns the template's
+    verdict, and a per-packet audit record is stamped from it only when
+    a consumer wants one.  The enforcement loop probes ``_entries``
+    directly; :meth:`get` and :meth:`put` are the same operations for
+    everything else.
     """
 
     def __init__(self, capacity: int = 4096) -> None:
@@ -453,127 +471,177 @@ class PolicyEnforcer:
         self._obs_tick = 0
 
     def process(self, packet: IPPacket) -> tuple[Verdict, IPPacket]:
-        self.stats.packets_seen += 1
-        obs = self._obs
-        if obs is not None:
-            tick = self._obs_tick + 1
-            if tick >= obs.sample_every:
-                self._obs_tick = 0
-                marks: list = []
-                started = perf_counter()
-                verdict, record = self._decide(packet, marks)
-                obs.record(started, marks)
-            else:
-                self._obs_tick = tick
-                verdict, record = self._decide(packet)
-        else:
-            verdict, record = self._decide(packet)
-        if verdict is Verdict.ACCEPT:
-            self.stats.packets_allowed += 1
-        else:
-            self.stats.packets_dropped += 1
-        if self.keep_records:
-            self.records.append(record)
-        if self._sink_publish is not None:
-            self._sink_publish(record, self.audit_source)
-        return verdict, packet
+        """Enforce one packet: a one-packet burst of :meth:`process_batch`."""
+        return self.process_batch([packet])[0]
 
     def process_batch(self, packets: list[IPPacket]) -> list[tuple[Verdict, IPPacket]]:
-        """Process a burst of packets, preserving input order."""
-        return [self.process(packet) for packet in packets]
+        """Enforce a burst of packets, preserving input order.
 
-    # -- the three stages -----------------------------------------------------------------
+        The one enforcement loop.  Per packet it runs the in-place policy
+        mutation check, the sampled obs tick, tag extraction and the
+        flow-cache probe inline; only a miss calls :meth:`_decide`.  An
+        :class:`EnforcementRecord` is stamped only when something
+        consumes it (kept records or an audit sink), so a cache hit with
+        neither builds no object at all.  Consumers and the obs hook are
+        bound once per burst.
+        """
+        stats = self.stats
+        database = self.database
+        cache = self.flow_cache
+        if cache is not None:
+            cache_get = cache._entries.get
+            cache_touch = cache._entries.move_to_end
+        keep = self.keep_records
+        append_record = self.records.append
+        publish = self._sink_publish
+        source = self.audit_source
+        stamp = keep or publish is not None
+        obs = self._obs
+        tick = self._obs_tick
+        sample_every = obs.sample_every if obs is not None else 0
+        untagged = _UNTAGGED_DROP if self.drop_untagged else _UNTAGGED_ACCEPT
+        accept = Verdict.ACCEPT
+        # Snapshots of the state the per-packet checks compare against;
+        # refreshed whenever this loop invalidates.
+        active_policy = self._active_policy
+        active_revision = self._active_revision
+        active_rule_count = self._active_rule_count
+        generation = self._cache_generation
+        results: list[tuple[Verdict, IPPacket]] = []
+        for packet in packets:
+            stats.packets_seen += 1
+            # The naive path read the live rule list every packet, so
+            # rules added in place (policy.add_rule) — or removed by
+            # mutating the public ``rules`` list directly — took effect
+            # immediately; three integer/identity compares keep that
+            # contract.  (Same-length in-place rule *replacement* is the
+            # one mutation this cannot see; call invalidate_caches()
+            # after doing that.)
+            policy = self.policy
+            if (
+                policy is not active_policy
+                or policy.revision != active_revision
+                or len(policy.rules) != active_rule_count
+            ):
+                self.invalidate_caches()
+                active_policy = self._active_policy
+                active_revision = self._active_revision
+                active_rule_count = self._active_rule_count
+                generation = self._cache_generation
+            # ``marks`` collects (stage, perf_counter) completion stamps
+            # for the sampled packet; None on every other packet.
+            marks = None
+            if obs is not None:
+                tick += 1
+                if tick >= sample_every:
+                    tick = 0
+                    marks = []
+                    started = perf_counter()
 
-    def _decide(
-        self, packet: IPPacket, marks: list | None = None
-    ) -> tuple[Verdict, EnforcementRecord]:
-        # ``marks`` collects (stage, perf_counter) completion stamps for
-        # sampled packets (see attach_observability); None on the fast path.
-        # The naive path read the live rule list every packet, so rules
-        # added in place (policy.add_rule) — or removed by mutating the
-        # public ``rules`` list directly — took effect immediately; three
-        # integer/identity compares keep that contract on the fast path.
-        # (Same-length in-place rule *replacement* is the one mutation
-        # this cannot see; call invalidate_caches() after doing that.)
-        if (
-            self.policy is not self._active_policy
-            or self.policy.revision != self._active_revision
-            or len(self.policy.rules) != self._active_rule_count
-        ):
-            self.invalidate_caches()
-
-        # Stage 1: extraction.
-        tag_bytes = self.encoder.extract_tag_bytes(packet.options)
-        if marks is not None:
-            marks.append(("extract", perf_counter()))
-        if tag_bytes is None:
-            self.stats.untagged_packets += 1
-            verdict = Verdict.DROP if self.drop_untagged else Verdict.ACCEPT
-            return verdict, EnforcementRecord(
-                packet_id=packet.packet_id,
-                dst_ip=packet.dst_ip,
-                verdict=verdict,
-                reason=REASON_UNTAGGED,
-                src_ip=packet.src_ip,
-                payload_bytes=packet.payload_size,
-            )
-
-        # Flow-cache lookup: repeated packets of a flow skip stages 2 and 3.
-        cache_key: tuple | None = None
-        if self.flow_cache is not None:
-            if self._cache_generation != self.database.generation:
-                # The database changed (enrolment/removal): cached verdicts
-                # may be stale, e.g. an ACCEPT for a since-revoked app.
-                self.flow_cache.clear()
-                self._cache_generation = self.database.generation
-                self.stats.cache_invalidations += 1
-            cache_key = (packet.flow_tuple, tag_bytes)
-            cached = self.flow_cache.get(cache_key)
+            # Stage 1: extraction.
+            tag_bytes = None
+            for option in packet.options.options:
+                if option.option_type == BORDERPATROL_OPTION_TYPE:
+                    tag_bytes = option.data
+                    break
             if marks is not None:
-                marks.append(("cache_lookup", perf_counter()))
-            if cached is not None:
-                self.stats.cache_hits += 1
-                return cached.verdict, EnforcementRecord(
+                marks.append(("extract", perf_counter()))
+
+            if tag_bytes is None:
+                stats.untagged_packets += 1
+                decision = untagged
+            elif cache is None:
+                decision = self._decide(tag_bytes, None, marks)
+            else:
+                if database.generation != generation:
+                    # The database changed (enrolment/removal): cached
+                    # verdicts may be stale, e.g. an ACCEPT for a
+                    # since-revoked app.
+                    cache.clear()
+                    generation = self._cache_generation = database.generation
+                    stats.cache_invalidations += 1
+                # Flow-cache probe: repeated packets of a flow skip
+                # stages 2 and 3.
+                key = (
+                    (packet.src_ip, packet.src_port, packet.dst_ip, packet.dst_port,
+                     packet.protocol),
+                    tag_bytes,
+                )
+                decision = cache_get(key)
+                if marks is not None:
+                    marks.append(("cache_lookup", perf_counter()))
+                if decision is None:
+                    stats.cache_misses += 1
+                    decision = self._decide(tag_bytes, key, marks)
+                else:
+                    cache_touch(key)
+                    stats.cache_hits += 1
+
+            verdict = decision.verdict
+            if verdict is accept:
+                stats.packets_allowed += 1
+            else:
+                stats.packets_dropped += 1
+            if marks is not None:
+                obs.record(started, marks)
+            if stamp:
+                record = EnforcementRecord(
                     packet_id=packet.packet_id,
                     dst_ip=packet.dst_ip,
-                    verdict=cached.verdict,
-                    reason=cached.reason,
-                    app_id=cached.app_id,
-                    package_name=cached.package_name,
-                    signatures=cached.signatures,
+                    verdict=verdict,
+                    reason=decision.reason,
+                    app_id=decision.app_id,
+                    package_name=decision.package_name,
+                    signatures=decision.signatures,
                     src_ip=packet.src_ip,
                     payload_bytes=packet.payload_size,
                 )
-            self.stats.cache_misses += 1
+                if keep:
+                    append_record(record)
+                if publish is not None:
+                    publish(record, source)
+            results.append((verdict, packet))
+        self._obs_tick = tick
+        return results
 
+    # -- stages 2 and 3 -------------------------------------------------------------------
+
+    def _decide(
+        self, tag_bytes: bytes, cache_key: tuple | None, marks: list | None
+    ) -> _CachedDecision:
+        """Decode ``tag_bytes`` and evaluate the policy for a flow-cache miss.
+
+        Returns the decision template the caller stamps records from; a
+        policy decision is also cached under ``cache_key`` (when not
+        None).  Integrity failures — a malformed tag, an unknown app, an
+        out-of-range index — are never cached.
+        """
+        stats = self.stats
         # Stage 2: decoding.
-        tag = self.encoder.decode(tag_bytes)
-        entry = self.database.lookup_app_id(tag.app_id)
+        try:
+            tag = self.encoder.decode(tag_bytes)
+        except EncodingError:
+            tag = entry = None
+        else:
+            entry = self.database.lookup_app_id(tag.app_id)
         if marks is not None:
             marks.append(("decode", perf_counter()))
+        if tag is None:
+            stats.decode_errors += 1
+            return _MALFORMED
         if entry is None:
-            self.stats.unknown_apps += 1
-            verdict = Verdict.DROP if self.drop_unknown_apps else Verdict.ACCEPT
-            return verdict, EnforcementRecord(
-                packet_id=packet.packet_id,
-                dst_ip=packet.dst_ip,
-                verdict=verdict,
-                reason=REASON_UNKNOWN_APP,
-                app_id=tag.app_id,
-                src_ip=packet.src_ip,
-                payload_bytes=packet.payload_size,
+            stats.unknown_apps += 1
+            return _CachedDecision(
+                Verdict.DROP if self.drop_unknown_apps else Verdict.ACCEPT,
+                REASON_UNKNOWN_APP,
+                tag.app_id,
+                "",
+                (),
             )
         if any(not 0 <= index < entry.method_count for index in tag.indexes):
-            self.stats.decode_errors += 1
-            return Verdict.DROP, EnforcementRecord(
-                packet_id=packet.packet_id,
-                dst_ip=packet.dst_ip,
-                verdict=Verdict.DROP,
-                reason=REASON_DECODE_RANGE,
-                app_id=tag.app_id,
-                package_name=entry.package_name,
-                src_ip=packet.src_ip,
-                payload_bytes=packet.payload_size,
+            stats.decode_errors += 1
+            return _CachedDecision(
+                Verdict.DROP, REASON_DECODE_RANGE, tag.app_id, entry.package_name, ()
             )
 
         # Stage 3: enforcement — compiled integer matching when possible,
@@ -581,55 +649,38 @@ class PolicyEnforcer:
         compiled = self._compiled.for_app(tag.app_id) if self._compiled is not None else None
         signatures: tuple[str, ...] = ()
         if compiled is not None:
-            decision = compiled.evaluate_indexes(tag.indexes)
-            self.stats.compiled_evals += 1
+            outcome = compiled.evaluate_indexes(tag.indexes)
+            stats.compiled_evals += 1
             if self.keep_records:
                 signatures = tuple(entry.decode_indexes(tag.indexes))
-                self.stats.full_decodes += 1
+                stats.full_decodes += 1
         else:
             signatures = tuple(entry.decode_indexes(tag.indexes))
-            self.stats.full_decodes += 1
+            stats.full_decodes += 1
             context = DecodedContext(
                 app_id=tag.app_id,
                 signatures=signatures,
                 app_md5=entry.md5,
                 package_name=entry.package_name,
             )
-            decision = self.policy.evaluate(context)
-            self.stats.fallback_evals += 1
+            outcome = self.policy.evaluate(context)
+            stats.fallback_evals += 1
         if marks is not None:
             marks.append(("eval", perf_counter()))
 
+        decision = _CachedDecision(
+            outcome.verdict, outcome.reason, tag.app_id, entry.package_name, signatures
+        )
         if cache_key is not None:
-            evicted_app = self.flow_cache.put(
-                cache_key,
-                _CachedDecision(
-                    verdict=decision.verdict,
-                    reason=decision.reason,
-                    app_id=tag.app_id,
-                    package_name=entry.package_name,
-                    signatures=signatures,
-                ),
-            )
+            evicted_app = self.flow_cache.put(cache_key, decision)
             if evicted_app is not None:
-                self.stats.cache_evictions += 1
-                self.stats.cache_churn_by_app[evicted_app] = (
-                    self.stats.cache_churn_by_app.get(evicted_app, 0) + 1
+                stats.cache_evictions += 1
+                stats.cache_churn_by_app[evicted_app] = (
+                    stats.cache_churn_by_app.get(evicted_app, 0) + 1
                 )
             if marks is not None:
                 marks.append(("cache_put", perf_counter()))
-
-        return decision.verdict, EnforcementRecord(
-            packet_id=packet.packet_id,
-            dst_ip=packet.dst_ip,
-            verdict=decision.verdict,
-            reason=decision.reason,
-            app_id=tag.app_id,
-            package_name=entry.package_name,
-            signatures=signatures,
-            src_ip=packet.src_ip,
-            payload_bytes=packet.payload_size,
-        )
+        return decision
 
     # -- inspection -----------------------------------------------------------------------
 

@@ -428,8 +428,9 @@ class ShardedEnforcer:
         started_batch = time.perf_counter()
         for shard, positions in zip(self.shards, groups):
             started = time.perf_counter()
-            for position in positions:
-                results[position] = shard.process(packets[position])
+            verdicts = shard.process_batch([packets[position] for position in positions])
+            for position, result in zip(positions, verdicts):
+                results[position] = result
             elapsed.append(time.perf_counter() - started)
         return BatchResult(
             results=check_complete(results, "sequential shard burst"),

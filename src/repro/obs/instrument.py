@@ -6,8 +6,9 @@ Two cost tiers, chosen so today's throughput survives:
   attribute load and an ``is None`` branch per packet, nothing else.
 * **Attached**: per-packet work is a counter tick; every
   ``sample_every``-th packet additionally collects perf_counter stage
-  marks through ``_decide`` and feeds the ``enforcer_stage_seconds``
-  histogram.  Attaching with :data:`~repro.obs.metrics.NULL_REGISTRY`
+  marks in ``PolicyEnforcer.process_batch`` (extract, cache_lookup) and,
+  on a cache miss, ``PolicyEnforcer._decide`` (decode, eval, cache_put),
+  and feeds the ``enforcer_stage_seconds`` histogram.  Attaching with :data:`~repro.obs.metrics.NULL_REGISTRY`
   keeps the full instrumented code path while every observation is a
   no-op — that is the "null registry" overhead the obs bench bounds.
 
@@ -33,7 +34,7 @@ __all__ = [
     "RuntimeObservability",
 ]
 
-#: Stage marks ``PolicyEnforcer._decide`` can emit, in pipeline order.
+#: Stage marks the enforcement loop can emit, in pipeline order.
 ENFORCER_STAGES: tuple[str, ...] = (
     "extract",
     "cache_lookup",

@@ -247,7 +247,7 @@ def _worker_main(spec, ring: PacketRing, cmd, out) -> None:
                     else:
                         packets = payload
                     started = time.perf_counter()
-                    results = [seed.enforcer.process(packet) for packet in packets]
+                    results = seed.enforcer.process_batch(packets)
                     elapsed = time.perf_counter() - started
                     current = _aggregate_stats(units)
                     obs_payload = None

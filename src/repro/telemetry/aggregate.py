@@ -41,6 +41,7 @@ from collections import deque
 
 from repro.core.policy_enforcer import (
     REASON_DECODE_RANGE,
+    REASON_MALFORMED_TAG,
     REASON_UNKNOWN_APP,
     REASON_UNTAGGED,
 )
@@ -53,6 +54,7 @@ _REASON_FLAGS = {
     REASON_UNTAGGED: 0,
     REASON_UNKNOWN_APP: 1,
     REASON_DECODE_RANGE: 2,
+    REASON_MALFORMED_TAG: 2,
 }
 
 

@@ -38,6 +38,7 @@ from dataclasses import dataclass, fields
 
 from repro.core.policy_enforcer import (
     REASON_DECODE_RANGE,
+    REASON_MALFORMED_TAG,
     REASON_UNKNOWN_APP,
     REASON_UNTAGGED,
 )
@@ -46,7 +47,9 @@ from repro.telemetry.aggregate import SlidingWindowAggregator
 
 #: Integrity-failure reasons: enforcement outcomes that indicate tag
 #: tampering rather than an ordinary policy denial.
-INTEGRITY_REASONS = frozenset({REASON_UNTAGGED, REASON_UNKNOWN_APP, REASON_DECODE_RANGE})
+INTEGRITY_REASONS = frozenset(
+    {REASON_UNTAGGED, REASON_UNKNOWN_APP, REASON_DECODE_RANGE, REASON_MALFORMED_TAG}
+)
 
 
 @dataclass(frozen=True)

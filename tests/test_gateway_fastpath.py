@@ -7,7 +7,10 @@ path must be behaviourally indistinguishable from the paper's naive
 decode-and-evaluate pipeline.
 """
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.database import DatabaseEntry, SignatureDatabase
 from repro.core.encoding import StackTraceEncoder
@@ -19,7 +22,7 @@ from repro.core.policy import (
     PolicyLevel,
     PolicyRule,
 )
-from repro.core.policy_enforcer import FlowCache, PolicyEnforcer
+from repro.core.policy_enforcer import REASON_MALFORMED_TAG, FlowCache, PolicyEnforcer
 from repro.netstack.ip import IPOptions, IPPacket
 from repro.netstack.netfilter import (
     Iptables,
@@ -29,6 +32,8 @@ from repro.netstack.netfilter import (
     flow_hash,
 )
 from repro.netstack.sharding import ShardedEnforcer
+from repro.telemetry.detectors import INTEGRITY_REASONS
+from repro.telemetry.pipeline import TelemetryPipeline
 
 APP_MD5 = "aabbccdd" * 4
 APP_ID = APP_MD5[:16]
@@ -42,8 +47,7 @@ SIGNATURES = [
 ]
 
 
-@pytest.fixture()
-def database():
+def build_database() -> SignatureDatabase:
     db = SignatureDatabase()
     db.add(
         DatabaseEntry(
@@ -54,6 +58,11 @@ def database():
         )
     )
     return db
+
+
+@pytest.fixture()
+def database():
+    return build_database()
 
 
 def make_packet(indexes, src_port=40001, dst_ip="203.0.113.9", app_id=APP_ID):
@@ -280,6 +289,54 @@ class TestFlowCache:
         assert len(enforcer.flow_cache) == 0
 
 
+def malformed_packet(data: bytes, src_port: int) -> IPPacket:
+    return IPPacket(
+        src_ip="10.10.0.2", dst_ip="203.0.113.9", src_port=src_port, dst_port=443,
+        payload_size=64, options=IPOptions.single(0x9E, data),
+    )
+
+
+class TestMalformedTags:
+    # A tag shorter than the 8-byte app id, and one whose 2-byte index
+    # body has an odd length.
+    MALFORMED = (b"\x01\x02\x03", bytes.fromhex(APP_ID) + b"\x00\x01\x02")
+
+    @pytest.mark.parametrize("flow_cache_size", [4096, 0])
+    def test_malformed_tag_drops_one_packet_not_the_burst(self, database, flow_cache_size):
+        enforcer = PolicyEnforcer(database=database, flow_cache_size=flow_cache_size)
+        burst = [
+            make_packet([0]),
+            malformed_packet(self.MALFORMED[0], 41001),
+            malformed_packet(self.MALFORMED[1], 41002),
+            make_packet([0], src_port=41003),
+        ]
+        verdicts = [verdict for verdict, _ in enforcer.process_batch(burst)]
+        assert verdicts == [Verdict.ACCEPT, Verdict.DROP, Verdict.DROP, Verdict.ACCEPT]
+        stats = enforcer.stats
+        assert stats.decode_errors == 2
+        assert stats.packets_seen == stats.packets_allowed + stats.packets_dropped == 4
+        assert [record.reason for record in enforcer.records][1:3] == [
+            REASON_MALFORMED_TAG,
+            REASON_MALFORMED_TAG,
+        ]
+
+    def test_malformed_decision_is_not_cached(self, database):
+        enforcer = PolicyEnforcer(database=database)
+        packet = malformed_packet(self.MALFORMED[1], 41004)
+        enforcer.process_batch([packet, packet])
+        assert len(enforcer.flow_cache) == 0
+        assert enforcer.stats.cache_hits == 0
+        assert enforcer.stats.decode_errors == 2
+
+    def test_malformed_tag_counts_as_a_decode_failure_in_telemetry(self, database):
+        assert REASON_MALFORMED_TAG in INTEGRITY_REASONS
+        pipeline = TelemetryPipeline(window_packets=8)
+        enforcer = PolicyEnforcer(database=database, keep_records=False)
+        enforcer.attach_audit_sink(pipeline)
+        enforcer.process(malformed_packet(self.MALFORMED[0], 41005))
+        assert pipeline.aggregator.device_integrity("10.10.0.2") == (0, 0, 1)
+
+
 class TestDistinctDecodedStacks:
     def test_decoded_stacks_to_returns_distinct_stacks_in_first_seen_order(self, database):
         enforcer = PolicyEnforcer(database=database, flow_cache_size=0)
@@ -352,7 +409,7 @@ class TestShardedEnforcer:
         packets = [make_packet([0], src_port=47000 + i) for i in range(16)]
         lost = [i for i, p in enumerate(packets) if sharded.shard_index(p) == 1]
         assert lost and len(lost) < len(packets)
-        monkeypatch.setattr(sharded.shards[1], "process", lambda packet: None)
+        monkeypatch.setattr(sharded.shards[1], "process_batch", lambda packets: [])
         with pytest.raises(RuntimeError, match=f"lost {len(lost)} of 16") as excinfo:
             sharded.process_batch_timed(packets)
         assert f"positions {lost[0]}, " in str(excinfo.value)
@@ -497,3 +554,196 @@ class TestIptablesChainSemantics:
             Iptables().append_rule(
                 IptablesRule(target=RuleTarget.QUEUE, queue_balance=(5, 3))
             )
+
+
+# -- differential: the enforcement loop vs the naive pipeline -----------------------
+
+UNKNOWN_ID = "ee" * 8
+FLURRY_RULE = PolicyRule(PolicyAction.DENY, PolicyLevel.LIBRARY, "com/flurry")
+
+
+def enroll_unknown_app(db: SignatureDatabase) -> None:
+    db.add(
+        DatabaseEntry(
+            md5=UNKNOWN_ID * 2, app_id=UNKNOWN_ID, package_name="com.late.app",
+            signatures=list(SIGNATURES),
+        )
+    )
+
+
+def packet_pool() -> list[IPPacket]:
+    """Repeated flows plus every integrity-failure shape, built once so
+    every enforcer sees the very same packet objects (and packet ids)."""
+    pool = [
+        make_packet(stack, src_port=42000 + flow)
+        for flow in range(3)
+        for stack in ((0,), (0, 1), (0, 3), (3,))
+    ]
+    pool.append(
+        IPPacket(
+            src_ip="10.10.0.2", dst_ip="203.0.113.9", src_port=42100, dst_port=443,
+            payload_size=64, options=IPOptions(),
+        )
+    )
+    pool.append(make_packet([0, 3], src_port=42101, app_id=UNKNOWN_ID))
+    pool.append(make_packet([0, 99], src_port=42102))  # index out of range
+    pool.extend(
+        malformed_packet(data, 42103 + offset)
+        for offset, data in enumerate(TestMalformedTags.MALFORMED)
+    )
+    return pool
+
+
+POOL_SIZE = len(packet_pool())
+bursts_strategy = st.lists(
+    st.tuples(
+        st.lists(st.integers(min_value=0, max_value=POOL_SIZE - 1), max_size=24),
+        st.sampled_from(["none", "add_rule", "enroll"]),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+#: Counters a naive (uncompiled, uncached) enforcer shares with the fast
+#: path; cache and compilation counters legitimately differ.
+SHARED_COUNTERS = (
+    "packets_seen", "packets_allowed", "packets_dropped",
+    "untagged_packets", "unknown_apps", "decode_errors",
+)
+
+
+class _ListSink:
+    def __init__(self) -> None:
+        self.records = []
+
+    def publish(self, record, source: str = "") -> None:
+        self.records.append((record, source))
+
+
+class _SampleLog:
+    """Stands in for EnforcerObservability: keeps every sampled packet's marks."""
+
+    def __init__(self, sample_every: int) -> None:
+        self.sample_every = sample_every
+        self.samples: list[list[str]] = []
+
+    def record(self, started, marks) -> None:
+        self.samples.append([stage for stage, _ in marks])
+
+
+class TestEnforcementLoopDifferential:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        script=bursts_strategy,
+        keep_records=st.booleans(),
+        with_sink=st.booleans(),
+    )
+    def test_batch_matches_naive_and_per_packet(self, script, keep_records, with_sink):
+        db = build_database()
+        policy = Policy.allow_all()
+        pool = packet_pool()
+        naive = PolicyEnforcer(database=db, policy=policy, compile_policy=False,
+                               flow_cache_size=0)
+        batch, single = (
+            PolicyEnforcer(database=db, policy=policy, keep_records=keep_records)
+            for _ in range(2)
+        )
+        sinks = []
+        if with_sink:
+            for enforcer in (batch, single):
+                sinks.append(_ListSink())
+                enforcer.attach_audit_sink(sinks[-1], "gw")
+        for positions, edit in script:
+            burst = [pool[position] for position in positions]
+            expected = naive.process_batch(burst)
+            assert batch.process_batch(burst) == expected
+            assert [single.process(packet) for packet in burst] == expected
+            if edit == "add_rule":
+                policy.add_rule(FLURRY_RULE)
+            elif edit == "enroll" and db.lookup_app_id(UNKNOWN_ID) is None:
+                enroll_unknown_app(db)
+        # Per-packet process is a one-packet burst: every counter agrees.
+        assert batch.stats == single.stats
+        for name in SHARED_COUNTERS:
+            assert getattr(batch.stats, name) == getattr(naive.stats, name), name
+        if keep_records:
+            assert list(batch.records) == list(single.records) == list(naive.records)
+        else:
+            assert len(batch.records) == len(single.records) == 0
+        if with_sink:
+            assert sinks[0].records == sinks[1].records
+            assert len(sinks[0].records) == batch.stats.packets_seen
+            published = [record for record, _ in sinks[0].records]
+            if keep_records:
+                assert published == list(batch.records)
+            # Without kept records the compiled path skips the signature
+            # decode; every other field matches the naive record.
+            assert [replace(r, signatures=()) for r in published] == [
+                replace(r, signatures=()) for r in naive.records
+            ]
+
+    def test_policy_edit_inside_a_burst_applies_to_the_next_packet(self):
+        # A sink that edits the live policy while the burst is running:
+        # the per-packet mutation check must catch it before packet two.
+        policy = Policy.allow_all()
+        enforcer = PolicyEnforcer(database=build_database(), policy=policy)
+
+        class EditingSink:
+            def publish(self, record, source=""):
+                if not policy.rules:
+                    policy.add_rule(FLURRY_RULE)
+
+        enforcer.attach_audit_sink(EditingSink())
+        burst = [make_packet([0, 3]), make_packet([0, 3])]  # one flow, two packets
+        verdicts = [verdict for verdict, _ in enforcer.process_batch(burst)]
+        assert verdicts == [Verdict.ACCEPT, Verdict.DROP]
+
+    def test_enroll_app_applies_to_the_next_packet(self):
+        db = build_database()
+        enforcer = PolicyEnforcer(database=db)
+        known = make_packet([0])
+        late = make_packet([0], src_port=42200, app_id=UNKNOWN_ID)
+
+        def run(burst):
+            return [verdict for verdict, _ in enforcer.process_batch(burst)]
+
+        assert run([known, late]) == [Verdict.ACCEPT, Verdict.DROP]
+        enroll_unknown_app(db)
+        assert run([late, known]) == [Verdict.ACCEPT, Verdict.ACCEPT]
+        # The generation move flushed the cache: the known flow re-missed.
+        assert enforcer.stats.cache_invalidations == 1
+        assert enforcer.stats.cache_hits == 0
+        assert enforcer.stats.cache_misses == 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sample_every=st.integers(min_value=1, max_value=9),
+        positions=st.lists(st.integers(min_value=0, max_value=POOL_SIZE - 1), max_size=80),
+        cuts=st.lists(st.integers(min_value=0, max_value=80), max_size=5),
+    )
+    def test_obs_samples_every_kth_packet_across_bursts(self, sample_every, positions, cuts):
+        pool = packet_pool()
+        packets = [pool[position] for position in positions]
+        enforcer = PolicyEnforcer(database=build_database(), keep_records=False)
+        obs = _SampleLog(sample_every)
+        enforcer.attach_observability(obs)
+        bounds = sorted({0, len(packets), *(cut for cut in cuts if cut < len(packets))})
+        for start, stop in zip(bounds, bounds[1:]):
+            enforcer.process_batch(packets[start:stop])
+        assert len(obs.samples) == len(packets) // sample_every
+        stats = enforcer.stats
+        assert stats.packets_seen == len(packets)
+        paths = (
+            ["extract"],  # untagged
+            ["extract", "cache_lookup"],  # cache hit
+            ["extract", "cache_lookup", "decode"],  # integrity failure
+            ["extract", "cache_lookup", "decode", "eval", "cache_put"],  # fresh decision
+        )
+        for marks in obs.samples:
+            assert marks in paths
+        if sample_every == 1:
+            # Every packet sampled: each hit carries exactly the extract
+            # and cache_lookup marks; a fresh decision decodes too.
+            hits = [marks for marks in obs.samples if marks == ["extract", "cache_lookup"]]
+            assert len(hits) == stats.cache_hits
+            assert sum("decode" in marks for marks in obs.samples) == stats.cache_misses

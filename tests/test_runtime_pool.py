@@ -571,16 +571,16 @@ class TestPoisonAndLossGuards:
         # worker, which dies on it again — an unbounded crash loop.
         # The regression: fail the burst once, keep the pool alive.
         assert all(packet.src_ip != _POISON_SRC for packet in replay)
-        original = PolicyEnforcer.process
+        original = PolicyEnforcer.process_batch
 
-        def poisoned_process(self, packet):
-            if packet.src_ip == _POISON_SRC:
+        def poisoned_process_batch(self, packets):
+            if any(packet.src_ip == _POISON_SRC for packet in packets):
                 raise RuntimeError("crafted poison packet")
-            return original(self, packet)
+            return original(self, packets)
 
         # Patched in the parent BEFORE the workers fork, so every forked
         # enforcer inherits the poisoned method.
-        monkeypatch.setattr(PolicyEnforcer, "process", poisoned_process)
+        monkeypatch.setattr(PolicyEnforcer, "process_batch", poisoned_process_batch)
         enforcer = ShardedEnforcer(
             database=database, policy=make_policy(), num_shards=2,
             keep_records=False, backend="pool", flow_cache_size=0,
