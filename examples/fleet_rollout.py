@@ -18,11 +18,7 @@ This example walks the canonical canary rollout:
    of the fleet converges the same way;
 5. a rollback is just another logged transaction;
 6. the log is compacted (snapshot + suffix) and a late-joining gateway
-   bootstraps from the snapshot instead of replaying the history;
-7. the same rollout runs against ``backend="pool"`` — long-lived
-   gateway worker processes — where each committed version travels to
-   every live worker as one compact delta record (no re-pickled policy,
-   no worker restart) and the next burst enforces the new version.
+   bootstraps from the snapshot instead of replaying the history.
 
 Run with:  python examples/fleet_rollout.py
 """
@@ -151,58 +147,6 @@ def main() -> None:
 
     print("\nserialized delta log (what the next late joiner bootstraps from):")
     print(fleet.delta_log.to_json())
-
-    pool_rollout(database)
-
-
-def pool_rollout(database: SignatureDatabase) -> None:
-    """The same canary story on the persistent worker-pool runtime.
-
-    With ``backend="pool"`` each gateway is a long-lived forked worker
-    holding its own compiled policy and replica shadow state.  A commit
-    at the store does not restart or re-pickle anything: the next burst
-    submission pushes the new delta-log records to every live worker,
-    which applies them surgically (recompile only the touched apps)
-    before enforcing.  Where the ``fork`` start method is unavailable
-    the fleet degrades to the sequential model with a logged warning —
-    the rollout below still runs, just in-process.
-    """
-    print("\n--- pool backend: delta push to live workers ---")
-    fleet = GatewayFleet(
-        database=database,
-        policy=Policy.allow_all(name="fleet-baseline"),
-        num_gateways=3,
-        backend="pool",
-    )
-    burst = [make_packet([0, 1], src_port=41000 + i) for i in range(32)]
-
-    # Burst 1 forks the workers and bakes in the current policy.
-    token = fleet.submit_burst(burst)
-    before = fleet.collect_burst(token)
-    print(f"uploads before commit: {before.results[0][0].value} "
-          f"({fleet.backend} backend, {before.measured_wall_s * 1e3:.1f} ms measured)")
-
-    # One transaction; the workers are NOT restarted.  The records ride
-    # ahead of the next burst and each worker's shadow replica applies
-    # them before enforcing a single packet.
-    delta = fleet.apply_update(
-        PolicyUpdate(reason="canary: block uploads").add_rule(
-            PolicyRule(
-                action=PolicyAction.DENY,
-                level=PolicyLevel.METHOD,
-                target=UPLOAD_SIGNATURE,
-            ),
-            rule_id="pool-upload-deny",
-        )
-    )
-    token = fleet.submit_burst(burst)
-    after = fleet.collect_burst(token)
-    stats = fleet.aggregate_stats()
-    print(f"committed v{delta.version}; uploads now: {after.results[0][0].value}")
-    print(f"delta records pushed to live workers: {stats.pool_delta_pushes} "
-          f"(snapshot re-syncs: {stats.pool_snapshot_syncs}, "
-          f"worker crashes: {stats.pool_worker_crashes})")
-    fleet.close()
 
 
 if __name__ == "__main__":

@@ -1,47 +1,31 @@
 #!/usr/bin/env python3
-"""Watching a pool-backed fleet run: spans, the top view, the export.
+"""Watching a sharded gateway run: sampled stages, the top view, the export.
 
-PR 8 made the runtime parallel; this walkthrough makes it visible.
-A ``backend="pool"`` :class:`ShardedEnforcer` replays a batched trace
-with a :class:`RuntimeObservability` attached, and we read what the
+A :class:`ShardedEnforcer` replays a batched trace with a
+:class:`RuntimeObservability` attached, and we read what the
 instrumentation captures:
 
-1. **spans** — every batch that crosses the worker pipes carries a
-   trace (serialize → ring write → queue wait → enforce → fold), and
-   worker-local registry deltas fold back with the results;
-2. **the top view** — ``render_top`` turns the registry plus the live
-   :class:`PoolHealthSnapshot` into the ``obs`` CLI's terminal frame:
-   per-worker p50/p99 batch latency, queue depth, incarnations and
-   respawn counts;
-3. **health events** — a :class:`PoolHealthMonitor` publishes
-   edge-triggered events onto a real :class:`AlertBus`, the same bus
-   the detection stack pages through;
-4. **the export** — the merged registry serializes to Prometheus text
-   and JSONL, ready for a scrape endpoint or a trajectory file.
-
-On platforms without the fork start method the enforcer degrades to
-sequential: no pool rows, but the sampled enforcer stages still flow.
+1. **sampled stages** — every 16th packet carries perf_counter stage
+   marks (extract, decode, eval, ...) into one shared histogram, across
+   every shard;
+2. **the top view** — ``render_top`` turns the registry plus the
+   enforcer's counters into the ``obs`` CLI's terminal frame: samples,
+   p50/p99 and total time per stage;
+3. **the export** — the registry serializes to Prometheus text and
+   JSONL, ready for a scrape endpoint or a trajectory file.
 
 Run with:  python examples/obs_profiler.py
 """
 
+from repro.core.policy import Policy
+from repro.experiments.common import split_into_bursts
 from repro.experiments.gateway_throughput import (
     DEFAULT_DENY_LIBRARIES,
     build_replay,
     build_signature_database,
 )
-from repro.core.policy import Policy
-from repro.experiments.fleet import split_into_bursts
 from repro.netstack.sharding import ShardedEnforcer
-from repro.obs import (
-    HealthThresholds,
-    PoolHealthMonitor,
-    RuntimeObservability,
-    render_top,
-    to_prometheus,
-)
-from repro.ops import AlertBus
-from repro.ops.bus import MemorySink
+from repro.obs import RuntimeObservability, record_enforcer_stats, render_top, to_prometheus
 
 
 def main() -> None:
@@ -49,59 +33,33 @@ def main() -> None:
     replay = build_replay(database.entries(), packets=2_000, flows=64, seed=11)
     policy = Policy.deny_libraries(DEFAULT_DENY_LIBRARIES, name="obs-example")
 
-    # -- 1. attach observability, then replay in bursts.
+    # -- 1. attach observability, then replay in bursts.  No flow cache,
+    # so every packet is decoded and evaluated.
     obs = RuntimeObservability(sample_every=16)
     enforcer = ShardedEnforcer(
         database=database,
         policy=policy,
         num_shards=2,
         keep_records=False,
-        backend="pool",
         flow_cache_size=0,
     )
     enforcer.attach_obs(obs)
 
-    bus = AlertBus(clock=None)
-    feed = bus.add_sink(MemorySink())
-    monitor = PoolHealthMonitor(HealthThresholds(), bus=bus, source="obs-example")
-
     bursts = [burst for burst in split_into_bursts(replay, 8) if burst]
-    for burst in bursts:
-        enforcer.collect_batch(enforcer.submit_batch(burst))
-        health = enforcer.pool_health()
-        if health is not None:
-            monitor.check(health)
-    bus.pump()
-
-    print(f"replayed {len(replay)} packets in {len(bursts)} bursts "
-          f"on the {enforcer.backend!r} backend\n")
+    measured = sum(enforcer.process_batch_timed(burst).measured_wall_s for burst in bursts)
+    print(f"replayed {len(replay)} packets in {len(bursts)} bursts: "
+          f"{measured * 1e3:.1f} ms measured\n")
 
     # -- 2. the top view: what `python -m repro.cli obs` renders live.
-    print(render_top(obs, "shard-pool", health=enforcer.pool_health(),
-                     events=feed.alerts, title="obs walkthrough"))
+    print(render_top(obs, title="obs walkthrough", stats=enforcer.aggregate_stats()))
 
-    # -- 3. the spans behind it: the last batch's stage breakdown.
-    trace = obs.traces.last()
-    if trace is not None:
-        stages = ", ".join(
-            f"{stage} {seconds * 1e3:.2f} ms"
-            for stage, seconds in sorted(
-                trace.stage_seconds().items(), key=lambda kv: -kv[1]
-            )
-        )
-        print(f"\nlast batch trace ({trace.batch_id}): {stages}")
-    print(f"completed traces captured: {obs.traces.completed} "
-          f"(ring buffer retains the most recent {len(obs.traces)})")
-    print(f"health events published to the bus: {len(feed.alerts)}")
-
-    # -- 4. the export: the merged parent registry, scrape-ready.
-    text = to_prometheus(obs.registry)
-    lines = text.splitlines()
-    print(f"\nprometheus export: {len(lines)} lines; first worker series:")
+    # -- 3. the export: the registry plus the enforcer counters, scrape-ready.
+    record_enforcer_stats(obs.registry, enforcer.aggregate_stats(), source="gw0")
+    lines = to_prometheus(obs.registry).splitlines()
+    print(f"\nprometheus export: {len(lines)} lines; sampled stage counts:")
     for line in lines:
-        if line.startswith("pool_worker_batch_seconds_count"):
+        if line.startswith("enforcer_stage_seconds_count"):
             print(f"  {line}")
-    enforcer.close()
 
 
 if __name__ == "__main__":

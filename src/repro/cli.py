@@ -26,8 +26,7 @@ the same operator workflows over the reproduction:
 * ``fleet``        — replay a provisioned device fleet across replicated
                      gateways under live policy churn: convergence lag,
                      verdict identity vs a single gateway, and the
-                     persistent worker-pool shard backend vs the
-                     sequential model;
+                     measured fleet wall beside its parallel model;
 * ``audit``        — replay mixed benign/adversarial fleet traffic with
                      the telemetry pipeline attached: per-scenario
                      detection precision/recall for BorderPatrol vs the
@@ -38,10 +37,10 @@ the same operator workflows over the reproduction:
                      recall, streaming (no-calibration) exfil budgets,
                      durable alert-spool round-trip, and alert-bus
                      overhead;
-* ``obs``          — run an instrumented pool replay and render live
-                     ``top``-style profiler frames (per-worker p50/p99
-                     batch latency, stage breakdown, respawn counts,
-                     health events), or a one-shot ``--snapshot``;
+* ``obs``          — run an instrumented sharded replay and render live
+                     ``top``-style profiler frames (per-stage sampled
+                     enforcer latency, p50/p99, cache hit ratio), or a
+                     one-shot ``--snapshot``;
                      ``--export prom|jsonl`` additionally emits the
                      metrics registry in that format.
 
@@ -54,9 +53,9 @@ Usage::
     python -m repro.cli policy compact store.json
     python -m repro.cli case-study cloud-storage
     python -m repro.cli experiments --fig3-apps 200 --fig4-iterations 300
-    python -m repro.cli gateway-bench --packets 10000 --shards 4 --backend pool
+    python -m repro.cli gateway-bench --packets 10000 --shards 4
     python -m repro.cli policy-churn --packets 10000 --edits 24
-    python -m repro.cli fleet --packets 10000 --devices 120 --gateways 3 --backend pool
+    python -m repro.cli fleet --packets 10000 --devices 120 --gateways 3
     python -m repro.cli audit --packets 8000 --devices 60 --gateways 2
     python -m repro.cli ops --packets 12000 --devices 60 --gateways 4
     python -m repro.cli obs --packets 4000 --shards 4 --frames 4
@@ -271,10 +270,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     return 0
 
 
-#: CLI spelling -> runtime spelling for execution backends.
-_BACKEND_CHOICES = {"serial": "sequential", "pool": "pool"}
-
-
 def _cmd_gateway_bench(args: argparse.Namespace) -> int:
     try:
         result = run_gateway_bench(
@@ -283,7 +278,6 @@ def _cmd_gateway_bench(args: argparse.Namespace) -> int:
             shards=args.shards,
             corpus_apps=args.corpus_apps,
             seed=args.seed,
-            backend=_BACKEND_CHOICES[args.backend],
         )
     except ValueError as error:
         print(f"gateway-bench rejected: {error}", file=sys.stderr)
@@ -312,8 +306,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             edits=args.edits,
             corpus_apps=args.corpus_apps,
             seed=args.seed,
-            backend_packets=0 if args.skip_backend else args.backend_packets,
-            backend=_BACKEND_CHOICES[args.backend],
         )
     except ValueError as error:
         print(f"fleet rejected: {error}", file=sys.stderr)
@@ -437,12 +429,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             print(f"wrote {args.export} export ({len(text)} bytes) to {args.output}")
         else:
             print(text, end="")
-    if profile.degraded:
-        print(
-            "pool degraded to sequential (no fork support): frames carry "
-            "sampled enforcer stages but no live worker rows",
-            file=sys.stderr,
-        )
     return 0
 
 
@@ -560,15 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also drive the Figure-4 stress workload through the sharded "
         "gateway and report latency + kpps (0 disables)",
     )
-    gateway.add_argument(
-        "--backend",
-        choices=tuple(_BACKEND_CHOICES),
-        default="serial",
-        help="execution engine for the sharded rows: serial (in-process "
-        "model) or pool (persistent worker pool with delta push); pool "
-        "needs the POSIX fork start method and falls back to serial with "
-        "a warning where it is unavailable",
-    )
     gateway.set_defaults(func=_cmd_gateway_bench)
 
     churn = subparsers.add_parser(
@@ -599,18 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--corpus-apps", type=int, default=8, metavar="N")
     fleet.add_argument("--seed", type=int, default=7)
     fleet.add_argument(
-        "--backend-packets",
-        type=int,
-        default=10_000,
-        help="replay size for the sequential-vs-pool shard backend "
-        "comparison",
-    )
-    fleet.add_argument(
-        "--skip-backend",
-        action="store_true",
-        help="skip the shard backend comparison",
-    )
-    fleet.add_argument(
         "--late-joiner-versions",
         type=int,
         default=240,
@@ -629,15 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--skip-late-joiner",
         action="store_true",
         help="skip the late-joiner bootstrap-cost scenario",
-    )
-    fleet.add_argument(
-        "--backend",
-        choices=tuple(_BACKEND_CHOICES),
-        default="serial",
-        help="fleet execution engine: serial (in-process model) or pool "
-        "(long-lived gateway workers with pipelined bursts and delta "
-        "push); pool needs the POSIX fork start method and falls back to "
-        "serial with a warning where it is unavailable",
     )
     fleet.set_defaults(func=_cmd_fleet)
 
@@ -691,9 +647,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     obs = subparsers.add_parser(
         "obs",
-        help="run an instrumented pool replay and render live profiler "
-        "frames: per-worker p50/p99 batch latency, pipeline stage "
-        "breakdown, respawns, and health events",
+        help="run an instrumented sharded replay and render live profiler "
+        "frames: per-stage sampled enforcer latency (p50/p99) and the "
+        "flow-cache hit ratio",
     )
     obs.add_argument("--packets", type=int, default=4_000)
     obs.add_argument("--flows", type=int, default=128)

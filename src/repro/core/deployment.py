@@ -51,20 +51,11 @@ class BorderPatrolDeployment:
         tag_replay_hardening: bool = False,
         enforcer_shards: int = 1,
         num_gateways: int = 1,
-        shard_backend: str = "sequential",
-        gateway_backend: str = "sequential",
         keep_records: bool = True,
         compact_every: int | None = None,
     ) -> None:
         if num_gateways < 1:
             raise ValueError("a deployment needs at least one gateway")
-        if num_gateways > 1 and shard_backend != "sequential":
-            # Fleet gateways run their shards in-process; parallelism
-            # across gateways is gateway_backend's job.
-            raise ValueError(
-                "shard_backend applies to a single-gateway deployment; "
-                "a fleet parallelises with gateway_backend='pool'"
-            )
         if network is None:
             network = (
                 EnterpriseNetwork(config=NetworkConfig(num_gateways=num_gateways))
@@ -114,7 +105,6 @@ class BorderPatrolDeployment:
                 num_gateways=num_gateways,
                 shards_per_gateway=enforcer_shards,
                 live=True,
-                backend=gateway_backend,
                 compact_every=compact_every,
                 **enforcer_kwargs,
             )
@@ -134,9 +124,7 @@ class BorderPatrolDeployment:
                 from repro.netstack.sharding import ShardedEnforcer
 
                 self.enforcer = ShardedEnforcer(
-                    num_shards=enforcer_shards,
-                    backend=shard_backend,
-                    **enforcer_kwargs,
+                    num_shards=enforcer_shards, **enforcer_kwargs
                 )
             else:
                 self.enforcer = PolicyEnforcer(**enforcer_kwargs)
@@ -147,11 +135,6 @@ class BorderPatrolDeployment:
             self.policy_store = PolicyStore.from_policy(enforcer_kwargs["policy"])
             self.policy_store.compact_every = compact_every
             self.policy_store.subscribe(self.enforcer, push=False)
-            # A pool-backed sharded enforcer wants the id-addressed store so
-            # policy edits reach its live workers as compact delta records.
-            attach_control = getattr(self.enforcer, "attach_control", None)
-            if attach_control is not None:
-                attach_control(self.policy_store)
             self.network.install_queue_chain(
                 enforcer=self.enforcer,
                 sanitizer=self.sanitizer,

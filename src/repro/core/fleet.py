@@ -21,14 +21,17 @@ Because replicas converge to fingerprint-identical rule tables and each
 gateway's enforcer is verdict-deterministic, a converged fleet is
 verdict-identical to one big gateway processing the whole stream; the
 fleet experiment (:mod:`repro.experiments.fleet`) asserts exactly that.
+
+Every gateway runs in-process: a burst visits the gateways one after
+another, and :class:`FleetBatchResult` carries the measured wall-clock
+of the whole burst beside the modelled parallel wall (the slowest
+gateway).
 """
 
 from __future__ import annotations
 
-import logging
 import time
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.policy import Policy
 from repro.core.policy_enforcer import EnforcerStats, PolicyEnforcer
@@ -42,12 +45,6 @@ from repro.core.policy_store import (
 from repro.netstack.ip import IPPacket
 from repro.netstack.netfilter import Verdict, flow_hash
 from repro.netstack.sharding import ShardedEnforcer, check_complete
-from repro.runtime.pool import GatewayWorkerPool, WorkerPoolError, fork_available
-
-logger = logging.getLogger(__name__)
-
-#: Supported :meth:`GatewayFleet.process_batch_timed` execution backends.
-FLEET_BACKENDS = ("sequential", "pool")
 
 
 @dataclass
@@ -59,16 +56,16 @@ class FleetBatchResult:
     burst is the slowest gateway; for sharded gateways each gateway's
     elapsed time is itself the modelled parallel wall of its shards, so
     the fleet number composes both balancing levels.
+
+    ``measured_wall_s`` is the wall-clock the burst actually took: the
+    gateways ran back to back, so it covers every gateway's work plus
+    the routing and stitching around them.
     """
 
     results: list[tuple[Verdict, IPPacket]]
     gateway_elapsed_s: list[float]
     gateway_packet_counts: list[int]
-    backend: str = "sequential"
-    #: End-to-end measured wall-clock of the burst (``pool`` backend:
-    #: submit-to-harvest including IPC; ``sequential``: 0.0, the burst
-    #: ran in-process and only the model applies).
-    measured_wall_s: float = 0.0
+    measured_wall_s: float
 
     @property
     def parallel_wall_s(self) -> float:
@@ -105,7 +102,6 @@ class GatewayFleet:
         num_gateways: int = 2,
         shards_per_gateway: int = 1,
         live: bool = True,
-        backend: str = "sequential",
         compact_every: int | None = None,
         **enforcer_kwargs,
     ) -> None:
@@ -113,29 +109,7 @@ class GatewayFleet:
             raise ValueError("a gateway fleet needs at least one gateway")
         if store is not None and policy is not None:
             raise ValueError("pass either a policy or an existing store, not both")
-        if backend not in FLEET_BACKENDS:
-            raise ValueError(
-                f"unknown fleet backend {backend!r}; choose from {FLEET_BACKENDS}"
-            )
-        self.requested_backend = backend
-        self.degraded = False
-        self._local_stats = EnforcerStats()
-        if backend == "pool" and not fork_available():
-            logger.warning(
-                "fleet backend 'pool' needs the fork start method, which this "
-                "platform lacks; degrading to sequential execution"
-            )
-            self.degraded = True
-            self._local_stats.backend_fallbacks += 1
-            backend = "sequential"
-        self.backend = backend
-        self._pool = None
-        self._pool_finalizer = None
         self._obs = None
-        # Degraded-pool pipelined bursts run synchronously at submit time
-        # and buffer their results here until collected by token.
-        self._sync_bursts: dict[int, FleetBatchResult] = {}
-        self._next_sync_token = 0
         if store is None:
             store = PolicyStore.from_policy(
                 policy if policy is not None else Policy.allow_all(), name="fleet-policy"
@@ -159,11 +133,7 @@ class GatewayFleet:
             self.replicas.append(replica)
 
     def _build_enforcer(self):
-        """One gateway's enforcer, per the fleet-wide shard configuration.
-
-        A sharded gateway runs its shards in-process (the sequential
-        backend): parallelism across gateways is the fleet backend's job.
-        """
+        """One gateway's enforcer, per the fleet-wide shard configuration."""
         if self.shards_per_gateway > 1:
             return ShardedEnforcer(
                 database=self.database,
@@ -217,9 +187,6 @@ class GatewayFleet:
         committed.  It then joins flow-hash routing, and the live push
         path if the fleet is live.
         """
-        # Flow-hash routing and the worker set both change shape; fresh
-        # workers (including one for the joiner) fork at the next burst.
-        self._restart_pool()
         replica = GatewayReplica.from_log(
             self._build_enforcer(),
             self.store.delta_log,
@@ -272,11 +239,6 @@ class GatewayFleet:
         other per-gateway cost in the parallel model.  The auditor is
         kept so gateways added later (:meth:`add_gateway`) publish too.
         """
-        # Pool workers install their record-capture hooks at fork time;
-        # a pipeline attached afterwards would go unseen, so respawn
-        # (fails fast, before any replica is touched, if bursts are
-        # outstanding).
-        self._restart_pool()
         self._auditor = auditor
         for replica in self.replicas:
             replica.enforcer.attach_audit_sink(
@@ -296,22 +258,12 @@ class GatewayFleet:
         """Attach (or detach, with ``None``) a
         :class:`~repro.obs.instrument.RuntimeObservability` fleet-wide.
 
-        Every gateway's enforcer gets sampled per-stage latency; the
-        pool backend additionally traces each burst batch (serialize →
-        ring write → queue wait → enforce → fold) and folds worker-local
-        registry deltas back into ``obs.registry``.  Pool workers fork
-        with instrumentation in place, so the pool restarts (refusing
-        while pipelined bursts are outstanding).
+        Every gateway's enforcer gets sampled per-stage latency into the
+        one shared ``obs.registry``; gateways added later report too.
         """
-        self._restart_pool()
         self._obs = obs
         for replica in self.replicas:
             self._wire_obs(replica)
-
-    def pool_health(self):
-        """Live :class:`~repro.obs.health.PoolHealthSnapshot` of the
-        gateway pool, or None when no pool is running."""
-        return self._pool.health() if self._pool is not None else None
 
     def attach_ops(self, control_plane) -> None:
         """Wire the operator control plane's telemetry onto every gateway.
@@ -352,14 +304,9 @@ class GatewayFleet:
 
         Packets are grouped by gateway, each group runs on its gateway's
         enforcer (sharded gateways model their own internal parallelism),
-        and verdicts are stitched back into input order.  With
-        ``backend="pool"`` the gateways genuinely run in parallel as
-        persistent workers (see :meth:`submit_burst` for the pipelined
-        form) and ``measured_wall_s`` is the real end-to-end elapsed
-        time of the burst.
+        and verdicts are stitched back into input order.
         """
-        if self.backend == "pool" and packets:
-            return self.collect_burst(self.submit_burst(packets))
+        started_burst = time.perf_counter()
         groups: list[list[int]] = [[] for _ in range(self.num_gateways)]
         for position, packet in enumerate(packets):
             groups[self.gateway_index(packet)].append(position)
@@ -380,126 +327,21 @@ class GatewayFleet:
             for position, result in zip(positions, processed):
                 results[position] = result
         return FleetBatchResult(
-            results=check_complete(results, "sequential fleet burst"),
+            results=check_complete(results, "fleet burst"),
             gateway_elapsed_s=elapsed,
             gateway_packet_counts=[len(positions) for positions in groups],
+            measured_wall_s=time.perf_counter() - started_burst,
         )
-
-    # -- persistent gateway workers ----------------------------------------------------
-
-    def _ensure_pool(self) -> GatewayWorkerPool:
-        if self._pool is None:
-            self._pool = GatewayWorkerPool(self.replicas, obs=self._obs)
-            # The finalizer holds only the pool (not self): leaked
-            # fleets still reap their daemon workers at GC.
-            self._pool_finalizer = weakref.finalize(self, self._pool.close)
-        return self._pool
-
-    def _restart_pool(self, drop_outstanding: bool = False) -> None:
-        """Tear the gateway pool down (fresh workers fork at the next
-        burst).  Refuses while pipelined bursts are outstanding — their
-        verdicts would be silently lost — except from an explicit
-        :meth:`close`."""
-        if self._pool is not None:
-            if self._pool.outstanding and not drop_outstanding:
-                raise WorkerPoolError(
-                    f"{self._pool.outstanding} pipelined burst(s) still "
-                    "outstanding; collect them before reconfiguring the fleet"
-                )
-            self._local_stats.merge(self._pool.stats)
-            if self._pool_finalizer is not None:
-                self._pool_finalizer.detach()
-                self._pool_finalizer = None
-            self._pool.close()
-            self._pool = None
-
-    def close(self) -> None:
-        """Stop gateway pool workers, if any.  Safe on any backend.
-
-        Uncollected pipelined bursts are discarded — the caller is
-        ending the fleet's life, so there is nowhere to deliver them.
-        """
-        self._restart_pool(drop_outstanding=True)
-
-    def submit_burst(self, packets: list[IPPacket]) -> int:
-        """Hand a burst to the gateway workers without waiting.
-
-        Each worker is first caught up from the delta log **to its own
-        parent replica's version** — live replicas push workers to the
-        head, staged (canary) replicas hold their workers at the staged
-        version — then the burst is routed.  The parent is free to
-        commit edits, drain telemetry or catch replicas up while the
-        workers enforce; pipe FIFO order keeps the worker-side replay of
-        records and batches in exactly the serial interleaving.
-
-        Pipelining is a pool-backend feature: a fleet that asked for the
-        pool but degraded (no fork start method) runs the burst
-        synchronously right here and :meth:`collect_burst` hands back
-        the buffered result — the rollout still runs, just in-process.
-        An explicitly sequential fleet raises.
-        """
-        if self.backend != "pool":
-            self._check_pipelined_backend()
-            token = self._next_sync_token
-            self._next_sync_token += 1
-            self._sync_bursts[token] = self.process_batch_timed(packets)
-            return token
-        pool = self._ensure_pool()
-        pool.push_log(
-            self.store.delta_log,
-            [replica.version for replica in self.replicas],
-        )
-        return pool.submit(packets)
-
-    def collect_burst(self, token: int | None = None) -> FleetBatchResult:
-        """Harvest a submitted burst (default: the oldest outstanding)."""
-        if self.backend != "pool":
-            self._check_pipelined_backend()
-            if not self._sync_bursts:
-                raise WorkerPoolError("no outstanding burst to collect")
-            if token is None:
-                token = min(self._sync_bursts)
-            if token not in self._sync_bursts:
-                raise WorkerPoolError(
-                    f"unknown or already-collected burst token {token}"
-                )
-            return self._sync_bursts.pop(token)
-        burst = self._ensure_pool().collect(token)
-        return FleetBatchResult(
-            results=burst.results,
-            gateway_elapsed_s=burst.worker_elapsed_s,
-            gateway_packet_counts=burst.worker_packet_counts,
-            backend="pool",
-            measured_wall_s=burst.wall_s,
-        )
-
-    def _check_pipelined_backend(self) -> None:
-        if not (self.degraded and self.requested_backend == "pool"):
-            raise ValueError(
-                "pipelined bursts need backend='pool'; this fleet runs "
-                f"backend={self.backend!r}"
-            )
 
     # -- aggregated inspection ----------------------------------------------------------
 
     def aggregate_stats(self) -> EnforcerStats:
-        """Every gateway's counters folded into one fleet-wide view,
-        plus runtime-level counters (pool health, degradation)."""
+        """Every gateway's counters folded into one fleet-wide view."""
         total = EnforcerStats()
         for replica in self.replicas:
             total.merge(replica.enforcer.stats)
-        total.merge(self._local_stats)
-        if self._pool is not None:
-            total.merge(self._pool.stats)
         return total
 
     def reset(self) -> None:
-        # Worker-side state cannot rewind in place; fresh forks at the
-        # next pool burst start from the reset replicas.  The restart
-        # fails fast (outstanding bursts) before any replica is touched.
-        self._restart_pool()
         for replica in self.replicas:
             replica.enforcer.reset()
-        self._local_stats = EnforcerStats()
-        if self.degraded:
-            self._local_stats.backend_fallbacks += 1

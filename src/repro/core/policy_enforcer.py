@@ -130,28 +130,12 @@ class EnforcerStats:
     compiled_evals: int = 0
     #: Policy evaluations that fell back to string matching.
     fallback_evals: int = 0
-    #: Persistent-pool runtime health (``backend="pool"``): worker
-    #: deaths detected, fresh forks spawned in their place (reseeds
-    #: after a stale shadow or compaction included), and batches
-    #: replayed to a replacement so no packet was silently dropped.
-    pool_worker_crashes: int = 0
-    pool_worker_respawns: int = 0
-    pool_batches_replayed: int = 0
-    #: Policy changes shipped to pool workers: surgical delta-log
-    #: records vs pickled full-policy syncs (the fallback path).
-    pool_delta_pushes: int = 0
-    pool_snapshot_syncs: int = 0
-    #: Batches shipped via the shared-memory ring vs pickled over the
-    #: pipe (ring full, oversized, or codec-incompatible packets).
+    #: Always zero: enforcement runs in-process.  ``bench/workloads.py``
+    #: (``_enforcer_ratios``) reads them into its ``pool.*`` metrics;
+    #: drop them together with those.
     pool_ring_batches: int = 0
     pool_pickled_batches: int = 0
-    #: Batches a worker failed deterministically (an enforcement error
-    #: reply, not a crash): popped and failed at collect instead of
-    #: being replayed into the respawn forever.
-    pool_poisoned_batches: int = 0
-    #: Parallel backends degraded to sequential at construction because
-    #: the platform has no fork start method.
-    backend_fallbacks: int = 0
+    pool_worker_crashes: int = 0
     #: Flow-cache entries lost per app (surgical invalidations + LRU
     #: evictions): which apps churn the cache hardest.
     cache_churn_by_app: dict = field(default_factory=dict)
@@ -171,9 +155,8 @@ class EnforcerStats:
     def delta_since(self, baseline: "EnforcerStats") -> "EnforcerStats":
         """The counters accrued since ``baseline`` was snapshotted.
 
-        This is what a worker process reports back to the parent shard:
-        the parent merges the delta, so counting work exactly once even
-        though the child started from a copy of the parent's stats.
+        A benchmark snapshots the stats after set-up and reports only the
+        work its measured rounds did.
         """
         delta = EnforcerStats()
         for stat_field in fields(EnforcerStats):

@@ -1347,13 +1347,6 @@ class GatewayReplica:
         self._shadow.compact_every = store.compact_every
         self._shadow.delta_log = self._shadow._fresh_log()
         self._shadow.subscribe(enforcer, push=True)
-        # A sharded enforcer with a persistent worker pool needs an
-        # id-addressed store to push compact delta records from; the
-        # shadow mirrors the head's rule ids exactly, so it serves
-        # (duck-typed — core enforcers simply lack the hook).
-        attach_control = getattr(enforcer, "attach_control", None)
-        if attach_control is not None:
-            attach_control(self._shadow)
         #: Records applied through :meth:`apply_delta` or
         #: :meth:`bootstrap` (catch-up included) — the convergence cost.
         self.records_applied = 0

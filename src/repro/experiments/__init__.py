@@ -35,12 +35,7 @@ from repro.experiments.gateway_throughput import (
     GatewayConfigResult,
     run_gateway_bench,
 )
-from repro.experiments.fleet import (
-    FleetBenchResult,
-    ShardBackendComparison,
-    run_fleet_bench,
-    run_shard_backend_comparison,
-)
+from repro.experiments.fleet import FleetBenchResult, run_fleet_bench
 from repro.experiments.ops import OpsBenchResult, run_ops_bench
 from repro.experiments.obs import (
     ObsBenchResult,
@@ -74,9 +69,7 @@ __all__ = [
     "GatewayConfigResult",
     "run_gateway_bench",
     "FleetBenchResult",
-    "ShardBackendComparison",
     "run_fleet_bench",
-    "run_shard_backend_comparison",
     "OpsBenchResult",
     "run_ops_bench",
     "ObsBenchResult",

@@ -10,10 +10,17 @@ block into ``extra_info`` so every artifact is self-describing.
 
 from __future__ import annotations
 
+import os
 import platform
 import sys
 
-from repro.experiments.fleet import available_cpus
+
+def available_cpus() -> int:
+    """CPUs this process may schedule on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux fallback
+        return os.cpu_count() or 1
 
 
 def bench_metadata(smoke: bool) -> dict:

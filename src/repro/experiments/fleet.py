@@ -19,11 +19,6 @@ one gateway; this driver measures the fleet runtime end to end:
   the identical edit schedule, and the fleet must match it verdict for
   verdict: replication must never change what the policy decides.
 
-:func:`run_shard_backend_comparison` separately validates the *modelled*
-shard parallelism with wall-clock: the same replay through
-``ShardedEnforcer`` with the sequential backend vs the persistent
-worker pool.
-
 :func:`run_late_joiner_bench` measures the other scale axis — control-
 plane history.  A gateway provisioned after hundreds of committed
 policy versions must not replay the whole history: with log compaction
@@ -35,12 +30,11 @@ head-subscribed gateway.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
 from repro.core.deployment import BorderPatrolDeployment
-from repro.core.fleet import FLEET_BACKENDS, GatewayFleet
+from repro.core.fleet import GatewayFleet
 from repro.core.policy import Policy, PolicyAction, PolicyLevel, PolicyRule
 from repro.core.policy_enforcer import PolicyEnforcer
 from repro.core.policy_store import (
@@ -56,147 +50,8 @@ from repro.experiments.gateway_throughput import (
     build_signature_database,
 )
 from repro.netstack.netfilter import Verdict
-from repro.netstack.sharding import ShardedEnforcer
 from repro.workloads.corpus import CorpusConfig, CorpusGenerator
 from repro.workloads.fleet import DeviceFleet, DeviceFleetConfig
-
-
-def available_cpus() -> int:
-    """CPUs this process may schedule on (what real fork parallelism has)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return os.cpu_count() or 1
-
-
-@dataclass
-class ShardBackendComparison:
-    """Sequential vs persistent pool on one batched replay.
-
-    The replay is split into ``batches`` equal bursts and both backends
-    process the identical burst sequence.  The pool forks its workers
-    once and amortizes that cost across the whole run, so
-    :attr:`pool_ipc_ms_per_batch` — measured wall minus the modelled
-    in-worker compute, spread over the burst count — is the runtime
-    overhead the parallel backend adds on top of the enforcement work.
-    """
-
-    packets: int
-    shards: int
-    cpus: int
-    sequential_wall_s: float
-    pool_wall_s: float
-    verdicts_match: bool
-    batches: int = 1
-    #: Modelled in-worker compute (sum over bursts of the slowest
-    #: shard's elapsed): the wall the pool would cost if IPC were free.
-    pool_compute_s: float = 0.0
-
-    @property
-    def pool_speedup(self) -> float:
-        """Real wall-clock speedup of the pool backend over sequential."""
-        if self.pool_wall_s <= 0:
-            return float("inf")
-        return self.sequential_wall_s / self.pool_wall_s
-
-    @property
-    def pool_ipc_ms_per_batch(self) -> float:
-        """Pool IPC + one-time spawn beyond compute, amortized per burst."""
-        if self.batches <= 0:
-            return 0.0
-        return max(0.0, self.pool_wall_s - self.pool_compute_s) / self.batches * 1e3
-
-    def summary(self) -> str:
-        return "\n".join(
-            [
-                f"shard backends on {self.packets} packets in {self.batches} "
-                f"batch(es), {self.shards} shards, {self.cpus} cpu(s):",
-                f"  sequential      {self.sequential_wall_s * 1e3:8.1f} ms",
-                f"  persistent pool {self.pool_wall_s * 1e3:8.1f} ms "
-                f"({self.pool_speedup:.2f}x vs sequential, "
-                f"{self.pool_ipc_ms_per_batch:.2f} ms/batch amortized IPC)",
-                f"  verdict-identical across both: {self.verdicts_match}",
-            ]
-        )
-
-
-def _run_batched_replay(enforcer, bursts, pipelined=False):
-    """Run one burst sequence; return (verdicts, measured wall, compute)."""
-    verdicts: list[Verdict] = []
-    compute = 0.0
-    started = time.perf_counter()
-    if pipelined:
-        tokens = [enforcer.submit_batch(burst) for burst in bursts]
-        batches = [enforcer.collect_batch(token) for token in tokens]
-    else:
-        batches = [enforcer.process_batch_timed(burst) for burst in bursts]
-    wall = time.perf_counter() - started
-    for batch in batches:
-        verdicts.extend(verdict for verdict, _ in batch.results)
-        compute += batch.parallel_wall_s
-    return verdicts, wall, compute
-
-
-def run_shard_backend_comparison(
-    packets: int = 10_000,
-    flows: int = 256,
-    shards: int = 4,
-    corpus_apps: int = 6,
-    seed: int = 7,
-    flow_cache_size: int = 0,
-    batches: int = 16,
-) -> ShardBackendComparison:
-    """Measure both shard backends on the identical batched replay.
-
-    Both enforcers process the identical burst sequence with identical
-    shard configuration; ``flow_cache_size`` defaults to 0 (compiled-only
-    path) so there is real per-packet work for the parallel fan-out to
-    win on.  A small warm-up burst triggers lazy per-app policy
-    compilation on both sides before the timed runs — the pool's workers
-    then fork *once* from the warmed parent.  The pool run is pipelined
-    (submit-ahead), so its measured wall also credits the overlap of
-    parent-side stitching with worker-side enforcement.
-    """
-    if packets < 1:
-        raise ValueError("the replay needs at least one packet")
-    if shards < 2:
-        raise ValueError("comparing backends needs at least two shards")
-    if batches < 1:
-        raise ValueError("the replay needs at least one batch")
-    database = build_signature_database(corpus_apps=corpus_apps, seed=seed)
-    replay = build_replay(database.entries(), packets=packets, flows=flows, seed=seed)
-    bursts = [burst for burst in split_into_bursts(replay, batches) if burst]
-    policy = Policy.deny_libraries(DEFAULT_DENY_LIBRARIES, name="backend-compare")
-    kwargs = dict(
-        database=database,
-        policy=policy,
-        num_shards=shards,
-        keep_records=False,
-        flow_cache_size=flow_cache_size,
-    )
-    sequential = ShardedEnforcer(backend="sequential", **kwargs)
-    pooled = ShardedEnforcer(backend="pool", **kwargs)
-    warmup = replay[: min(64, len(replay))]
-    sequential.process_batch_timed(warmup)
-    pooled.process_batch_timed(warmup, backend="sequential")
-
-    seq_verdicts, seq_wall, _ = _run_batched_replay(sequential, bursts)
-    # The pool's effective backend may have degraded to sequential on
-    # fork-less platforms; pipelining only exists on the real pool.
-    pool_verdicts, pool_wall, pool_compute = _run_batched_replay(
-        pooled, bursts, pipelined=pooled.backend == "pool"
-    )
-    pooled.close()
-    return ShardBackendComparison(
-        packets=len(replay),
-        shards=shards,
-        cpus=available_cpus(),
-        sequential_wall_s=seq_wall,
-        pool_wall_s=pool_wall,
-        verdicts_match=seq_verdicts == pool_verdicts,
-        batches=len(bursts),
-        pool_compute_s=pool_compute,
-    )
 
 
 @dataclass
@@ -398,24 +253,11 @@ class FleetBenchResult:
     untagged_packets: int = 0
     unknown_apps: int = 0
     decode_errors: int = 0
-    backend: ShardBackendComparison | None = None
-    #: Effective gateway execution backend ("sequential", or "pool" for
-    #: the persistent gateway worker pool; may read "sequential" after
-    #: a graceful degradation on fork-less platforms).
-    fleet_backend: str = "sequential"
-    #: Pool backend only: measured submit-to-harvest wall-clock of the
-    #: pipelined burst loop.  The parent commits edits, replays the
-    #: baseline and catches replicas up *while* workers enforce, so this
-    #: includes the overlapped control-plane work — the pipelining win
-    #: is this number staying close to the workers' own compute time.
+    #: Measured wall-clock of the fleet side: every replica's catch-up
+    #: plus every burst, all run in-process one after another.
+    #: :attr:`fleet_wall_s` is the model of the same work run in
+    #: parallel (the slowest catch-up plus the slowest gateway per burst).
     fleet_measured_wall_s: float = 0.0
-    #: Pool health counters surfaced from the aggregated stats.
-    pool_worker_crashes: int = 0
-    pool_delta_pushes: int = 0
-    pool_worker_respawns: int = 0
-    backend_fallbacks: int = 0
-    pool_ring_batches: int = 0
-    pool_pickled_batches: int = 0
 
     @property
     def verdicts_match(self) -> bool:
@@ -423,7 +265,16 @@ class FleetBenchResult:
 
     @property
     def fleet_kpps(self) -> float:
+        """Modelled: packets over :attr:`fleet_wall_s`."""
         return self.packets / self.fleet_wall_s / 1e3 if self.fleet_wall_s > 0 else float("inf")
+
+    @property
+    def fleet_measured_kpps(self) -> float:
+        return (
+            self.packets / self.fleet_measured_wall_s / 1e3
+            if self.fleet_measured_wall_s > 0
+            else float("inf")
+        )
 
     @property
     def baseline_kpps(self) -> float:
@@ -459,14 +310,25 @@ class FleetBenchResult:
                     f"v{version}",
                 )
             )
+        fleet = f"fleet-{self.gateways}x{self.shards_per_gateway}"
         rows.append(
             (
-                f"fleet-{self.gateways}x{self.shards_per_gateway}",
+                f"{fleet} measured",
+                self.packets,
+                f"{self.fleet_measured_wall_s * 1e3:.1f}",
+                f"{self.fleet_measured_kpps:.1f}",
+                "-",
+                f"v{self.store_version} (head)",
+            )
+        )
+        rows.append(
+            (
+                f"{fleet} modelled parallel",
                 self.packets,
                 f"{self.fleet_wall_s * 1e3:.1f}",
                 f"{self.fleet_kpps:.1f}",
                 "-",
-                f"v{self.store_version} (head)",
+                "-",
             )
         )
         table = format_table(
@@ -490,21 +352,6 @@ class FleetBenchResult:
             f"replicas converged (fingerprint-verified): {self.converged}",
             f"fleet verdict-identical to single gateway: {self.verdicts_match}",
         ]
-        if self.fleet_backend == "pool":
-            lines.append(
-                f"gateway pool: {self.fleet_measured_wall_s * 1e3:.1f} ms measured "
-                f"pipelined wall (modelled compute {self.fleet_wall_s * 1e3:.1f} ms); "
-                f"{self.pool_delta_pushes} delta pushes to live workers, "
-                f"{self.pool_worker_crashes} worker crash(es)"
-            )
-            lines.append(
-                f"pool health: {self.pool_worker_respawns} respawn(s), "
-                f"{self.backend_fallbacks} backend fallback(s); batches "
-                f"{self.pool_ring_batches} via ring, "
-                f"{self.pool_pickled_batches} pickled"
-            )
-        if self.backend is not None:
-            lines.append(self.backend.summary())
         return "\n".join(lines)
 
 
@@ -518,8 +365,6 @@ def run_fleet_bench(
     seed: int = 7,
     flow_cache_size: int = 4096,
     apps_per_device: tuple[int, int] = (1, 3),
-    backend_packets: int = 0,
-    backend: str = "sequential",
 ) -> FleetBenchResult:
     """Replay one fleet workload under live churn; compare with one gateway.
 
@@ -530,18 +375,10 @@ def run_fleet_bench(
     the fleet.  A single enforcer subscribed directly to the store
     replays the identical schedule as the verdict baseline.
 
-    ``backend="pool"`` runs the fleet on the persistent gateway worker
-    pool with a *pipelined* burst loop: each burst is submitted to the
-    workers first, the parent then replays the baseline and commits the
-    next round of edits while the workers enforce, and only then is the
-    burst harvested.  Pipe FIFO ordering keeps the worker-side record
-    replay and batch enforcement in exactly the serial interleaving, so
-    verdict identity against the baseline is unchanged.  The pool
-    degrades gracefully to sequential on platforms without the ``fork``
-    start method.
-
-    ``backend_packets > 0`` additionally runs
-    :func:`run_shard_backend_comparison` at that replay size.
+    The fleet side is timed twice: ``fleet_measured_wall_s`` is the
+    wall-clock it really took in-process, and ``fleet_wall_s`` models
+    the same work on parallel gateways (slowest catch-up plus slowest
+    gateway per burst).
     """
     if packets <= edits:
         raise ValueError("need more packets than edits so every burst is non-empty")
@@ -554,17 +391,10 @@ def run_fleet_bench(
 
     apps = CorpusGenerator(CorpusConfig(n_apps=corpus_apps, seed=seed)).generate()
     base_policy = Policy.deny_libraries(DEFAULT_DENY_LIBRARIES, name="fleet-base")
-    if backend not in FLEET_BACKENDS:
-        raise ValueError(
-            f"unknown fleet backend {backend!r}; choose from {FLEET_BACKENDS}"
-        )
     deployment = BorderPatrolDeployment(
         policy=base_policy,
         num_gateways=gateways,
         enforcer_shards=shards_per_gateway,
-        # "pool" runs whole gateways in long-lived workers (their shards
-        # in-process).
-        gateway_backend=backend,
         drop_untagged=True,
         drop_unknown_apps=True,
         keep_records=False,
@@ -614,6 +444,7 @@ def run_fleet_bench(
     fleet_verdicts: list[Verdict] = []
     baseline_verdicts: list[Verdict] = []
     fleet_wall = 0.0
+    fleet_measured_wall = 0.0
     baseline_wall = 0.0
     per_gateway = [0] * gateways
 
@@ -634,17 +465,15 @@ def run_fleet_bench(
         result.catch_up_parse_hits += RULE_INTERN_CACHE.hits - hits_before
         result.catch_up_parse_misses += RULE_INTERN_CACHE.misses - misses_before
         fleet_wall += max(catch_up_walls, default=0.0)
+        fleet_measured_wall += sum(catch_up_walls)
 
-        # Pipelined pool mode: hand the burst to the workers *first*
-        # (they enforce at the versions the replicas hold right now),
-        # then overlap the baseline replay and the next edit round with
-        # the workers' enforcement, and harvest last.
-        pooled = fleet.backend == "pool"
-        if pooled:
-            token = fleet.submit_burst(burst)
-            batch = None
-        else:
-            batch = fleet.process_batch_timed(burst)
+        batch = fleet.process_batch_timed(burst)
+        fleet_wall += batch.parallel_wall_s
+        fleet_measured_wall += batch.measured_wall_s
+        fleet_verdicts.extend(verdict for verdict, _ in batch.results)
+        per_gateway = [
+            total + count for total, count in zip(per_gateway, batch.gateway_packet_counts)
+        ]
 
         started = time.perf_counter()
         processed = baseline.process_batch(burst)
@@ -681,17 +510,8 @@ def run_fleet_bench(
                     toggled[target] = True
             baseline_wall += time.perf_counter() - started
 
-        if pooled:
-            batch = fleet.collect_burst(token)
-            result.fleet_measured_wall_s += batch.measured_wall_s
-        fleet_wall += batch.parallel_wall_s
-        fleet_verdicts.extend(verdict for verdict, _ in batch.results)
-        per_gateway = [
-            total + count for total, count in zip(per_gateway, batch.gateway_packet_counts)
-        ]
-
-    result.fleet_backend = fleet.backend
     result.fleet_wall_s = fleet_wall
+    result.fleet_measured_wall_s = fleet_measured_wall
     result.baseline_wall_s = baseline_wall
     result.fleet_verdicts = tuple(fleet_verdicts)
     result.baseline_verdicts = tuple(baseline_verdicts)
@@ -700,25 +520,11 @@ def run_fleet_bench(
     result.store_version = store.version
     result.converged = fleet.converged
     aggregated = fleet.aggregate_stats()
-    fleet.close()
     result.top_churn_apps = aggregated.top_churn_apps(limit=3)
     result.untagged_packets = aggregated.untagged_packets
     result.unknown_apps = aggregated.unknown_apps
     result.decode_errors = aggregated.decode_errors
-    result.pool_worker_crashes = aggregated.pool_worker_crashes
-    result.pool_delta_pushes = aggregated.pool_delta_pushes
-    result.pool_worker_respawns = aggregated.pool_worker_respawns
-    result.backend_fallbacks = aggregated.backend_fallbacks
-    result.pool_ring_batches = aggregated.pool_ring_batches
-    result.pool_pickled_batches = aggregated.pool_pickled_batches
     # The store seeds at version 0, so its version is exactly the number
     # of churn transactions committed over the schedule.
     result.edits = store.version
-    if backend_packets > 0:
-        result.backend = run_shard_backend_comparison(
-            packets=backend_packets,
-            shards=max(2, shards_per_gateway),
-            corpus_apps=corpus_apps,
-            seed=seed,
-        )
     return result

@@ -80,14 +80,6 @@ class GatewayConfigResult:
     shard_packet_counts: tuple[int, ...] = ()
     #: Flow-cache entries lost per app (invalidations + LRU evictions).
     churn_by_app: dict = field(default_factory=dict)
-    #: Persistent-pool health (non-zero only on pool-backed rows):
-    #: crash/respawn counts, construction-time degradations to
-    #: sequential, and ring vs pickled batch transport.
-    pool_worker_crashes: int = 0
-    pool_worker_respawns: int = 0
-    backend_fallbacks: int = 0
-    pool_ring_batches: int = 0
-    pool_pickled_batches: int = 0
 
     @property
     def pps(self) -> float:
@@ -158,27 +150,6 @@ class GatewayBenchResult:
             "integrity outcomes: %d untagged, %d unknown-app, %d decode-failure"
             % integrity,
         ]
-        # Pool health appears once any row ran on the persistent pool
-        # (or a fork backend degraded at construction).
-        pooled = [
-            r
-            for r in self.results.values()
-            if r.pool_ring_batches
-            or r.pool_pickled_batches
-            or r.pool_worker_crashes
-            or r.backend_fallbacks
-        ]
-        if pooled:
-            crashes = sum(r.pool_worker_crashes for r in pooled)
-            respawns = sum(r.pool_worker_respawns for r in pooled)
-            fallbacks = sum(r.backend_fallbacks for r in pooled)
-            ring = sum(r.pool_ring_batches for r in pooled)
-            pickled = sum(r.pool_pickled_batches for r in pooled)
-            lines.append(
-                f"pool health: {crashes} crash(es), {respawns} respawn(s), "
-                f"{fallbacks} backend fallback(s); batches {ring} via ring, "
-                f"{pickled} pickled"
-            )
         lines.append(f"all paths verdict-identical: {self.verdicts_match}")
         return "\n".join(lines)
 
@@ -258,11 +229,6 @@ def _snapshot(name: str, packets: int, wall_s: float, verdicts, stats) -> Gatewa
         unknown_apps=stats.unknown_apps,
         decode_errors=stats.decode_errors,
         churn_by_app=dict(stats.cache_churn_by_app),
-        pool_worker_crashes=stats.pool_worker_crashes,
-        pool_worker_respawns=stats.pool_worker_respawns,
-        backend_fallbacks=stats.backend_fallbacks,
-        pool_ring_batches=stats.pool_ring_batches,
-        pool_pickled_batches=stats.pool_pickled_batches,
     )
 
 
@@ -274,16 +240,10 @@ def run_gateway_bench(
     seed: int = 7,
     keep_records: bool = True,
     policy: Policy | None = None,
-    backend: str = "sequential",
 ) -> GatewayBenchResult:
     """Measure every enforcement path over one identical replay.
 
-    ``backend`` selects how the sharded rows execute: ``"sequential"``
-    (in-process model) or ``"pool"`` (persistent worker pool).  Reported
-    shard throughput stays the modelled parallel wall (slowest shard) in
-    both modes so the rows remain comparable; the backend choice proves
-    verdict identity on the real execution engine.  The pool needs the
-    POSIX ``fork`` start method and degrades to sequential elsewhere.
+    Sharded rows report the modelled parallel wall (slowest shard).
     """
     if packets < 1:
         raise ValueError("the replay needs at least one packet")
@@ -317,14 +277,11 @@ def run_gateway_bench(
 
     for num_shards in sorted({1, shards}):
         name = f"sharded-{num_shards}"
-        if backend != "sequential":
-            name += f"-{backend}"
         sharded = ShardedEnforcer(
             database=database,
             policy=policy,
             num_shards=num_shards,
             keep_records=keep_records,
-            backend=backend,
         )
         batch = sharded.process_batch_timed(replay)
         snapshot = _snapshot(
@@ -336,6 +293,5 @@ def run_gateway_bench(
         )
         snapshot.shard_packet_counts = tuple(batch.shard_packet_counts)
         result.results[name] = snapshot
-        sharded.close()
 
     return result

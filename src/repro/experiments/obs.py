@@ -1,27 +1,25 @@
-"""Observability overhead bench and the live fleet profiler driver.
+"""Observability overhead bench and the live profiler driver.
 
 The runtime observability layer (:mod:`repro.obs`) promises two things
 the rest of the repo depends on: instrumentation must not change what
 the policy decides, and it must stay cheap enough to leave attached in
-production.  :func:`run_obs_bench` pins both — three pool-backed
+production.  :func:`run_obs_bench` pins both — three in-process sharded
 enforcers process the identical batched replay:
 
 * **uninstrumented** — no observability attached (the baseline);
 * **null registry**  — the full instrumented code path with every
   observation a no-op (the "is it attached" branch cost);
 * **instrumented**   — a live :class:`~repro.obs.RuntimeObservability`
-  with sampled enforcer stages, cross-process batch spans, and worker
-  registry deltas folding back into the parent.
+  sampling per-stage enforcer latency into its registry.
 
 Walls are medians over ``rounds`` interleaved repetitions; verdicts
 must be identical across all three variants.  The instrumented run
-additionally yields the per-stage pipeline breakdown
-(serialize/ring_write/queue_wait/enforce/fold) and a per-worker latency
-profile — the numbers ``BENCH_obs.json`` archives and CI gates on.
+additionally yields the sampled per-stage breakdown (extract, decode,
+eval, ...) — the numbers ``BENCH_obs.json`` archives and CI gates on.
 
 :func:`run_obs_profile` drives the same instrumented replay for the
 ``obs`` CLI subcommand: it captures a ``top``-style frame after each
-burst plus final Prometheus/JSONL exports and any health events.
+burst plus final Prometheus/JSONL exports.
 """
 
 from __future__ import annotations
@@ -31,8 +29,8 @@ from dataclasses import dataclass, field
 from statistics import median
 
 from repro.core.policy import Policy
+from repro.experiments.benchmeta import available_cpus
 from repro.experiments.common import format_table, split_into_bursts
-from repro.experiments.fleet import available_cpus
 from repro.experiments.gateway_throughput import (
     DEFAULT_DENY_LIBRARIES,
     build_replay,
@@ -41,38 +39,12 @@ from repro.experiments.gateway_throughput import (
 from repro.netstack.sharding import ShardedEnforcer
 from repro.obs import (
     NULL_REGISTRY,
-    HealthThresholds,
-    PoolHealthMonitor,
     RuntimeObservability,
+    record_enforcer_stats,
     render_top,
     to_jsonl,
     to_prometheus,
 )
-from repro.obs.export import record_enforcer_stats, record_pool_health
-
-#: The :class:`~repro.runtime.pool.ShardWorkerPool` default name — the
-#: pool label every shard-pool metric series carries.
-SHARD_POOL = "shard-pool"
-
-
-@dataclass
-class WorkerProfile:
-    """Per-worker latency profile extracted from the batch histogram."""
-
-    worker: int
-    batches: int
-    p50_ms: float
-    p99_ms: float
-    respawns: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "worker": self.worker,
-            "batches": self.batches,
-            "p50_ms": self.p50_ms,
-            "p99_ms": self.p99_ms,
-            "respawns": self.respawns,
-        }
 
 
 @dataclass
@@ -85,18 +57,14 @@ class ObsBenchResult:
     batches: int
     rounds: int
     sample_every: int
-    #: Effective execution backend ("pool", or "sequential" after a
-    #: fork-less degradation — overheads still bind, spans do not).
-    backend: str
     uninstrumented_wall_s: float
     null_wall_s: float
     instrumented_wall_s: float
     verdicts_match: bool
-    #: Total seconds per pool pipeline stage over the instrumented run.
+    #: Total sampled seconds per enforcer stage over the instrumented run.
     stage_seconds: dict = field(default_factory=dict)
     #: Sampled enforcer stage observation counts (proof sampling ran).
     enforcer_samples: dict = field(default_factory=dict)
-    workers: list = field(default_factory=list)
 
     def _overhead_pct(self, wall_s: float) -> float:
         if self.uninstrumented_wall_s <= 0:
@@ -110,7 +78,7 @@ class ObsBenchResult:
 
     @property
     def instrumented_overhead_pct(self) -> float:
-        """Cost of live metrics + traces vs no instrumentation."""
+        """Cost of live sampled metrics vs no instrumentation."""
         return self._overhead_pct(self.instrumented_wall_s)
 
     def to_dict(self) -> dict:
@@ -121,7 +89,6 @@ class ObsBenchResult:
             "batches": self.batches,
             "rounds": self.rounds,
             "sample_every": self.sample_every,
-            "backend": self.backend,
             "uninstrumented_wall_s": self.uninstrumented_wall_s,
             "null_wall_s": self.null_wall_s,
             "instrumented_wall_s": self.instrumented_wall_s,
@@ -130,7 +97,6 @@ class ObsBenchResult:
             "verdicts_match": self.verdicts_match,
             "stage_seconds": dict(self.stage_seconds),
             "enforcer_samples": dict(self.enforcer_samples),
-            "workers": [profile.to_dict() for profile in self.workers],
         }
 
     def table(self) -> str:
@@ -150,69 +116,27 @@ class ObsBenchResult:
         table = format_table(("variant", "median wall (ms)", "overhead"), rows)
         lines = [
             f"obs overhead on {self.packets} packets in {self.batches} batch(es), "
-            f"{self.shards} shards, {self.cpus} cpu(s), backend={self.backend}, "
+            f"{self.shards} shards, {self.cpus} cpu(s), in-process, "
             f"sampling 1/{self.sample_every}:",
             table,
         ]
         if self.stage_seconds:
             parts = [
-                f"{stage} {total * 1e3:.2f} ms"
-                for stage, total in sorted(
-                    self.stage_seconds.items(), key=lambda item: -item[1]
-                )
+                f"{stage} {total * 1e3:.2f} ms/{self.enforcer_samples[stage]} samples"
+                for stage, total in self.stage_seconds.items()
             ]
-            lines.append("pipeline stages: " + " | ".join(parts))
-        for profile in self.workers:
-            lines.append(
-                f"  w{profile.worker}: {profile.batches} batches, "
-                f"p50 {profile.p50_ms:.3f} ms, p99 {profile.p99_ms:.3f} ms, "
-                f"{profile.respawns} respawn(s)"
-            )
+            lines.append("sampled enforcer stages: " + " | ".join(parts))
         lines.append(f"verdict-identical across all variants: {self.verdicts_match}")
         return "\n".join(lines)
 
 
-def _run_bursts(enforcer, bursts, pipelined):
+def _run_bursts(enforcer, bursts):
     """One replay pass; returns (verdicts, wall-clock seconds)."""
     started = time.perf_counter()
-    if pipelined:
-        tokens = [enforcer.submit_batch(burst) for burst in bursts]
-        batches = [enforcer.collect_batch(token) for token in tokens]
-    else:
-        batches = [enforcer.process_batch_timed(burst) for burst in bursts]
+    batches = [enforcer.process_batch_timed(burst) for burst in bursts]
     wall = time.perf_counter() - started
-    verdicts = [
-        verdict for batch in batches for verdict, _ in batch.results
-    ]
+    verdicts = [verdict for batch in batches for verdict, _ in batch.results]
     return verdicts, wall
-
-
-def worker_profiles(obs, pool: str = SHARD_POOL, health=None) -> list[WorkerProfile]:
-    """Per-worker p50/p99 batch latency (ms) from the registry, with
-    respawn counts from a :class:`PoolHealthSnapshot` when given."""
-    hist = obs.registry.get("pool_worker_batch_seconds")
-    profiles: list[WorkerProfile] = []
-    if hist is None or not hasattr(hist, "_series"):
-        return profiles
-    for key in sorted(hist._series, key=lambda item: int(item[1])):
-        pool_label, worker = key
-        if pool_label != pool:
-            continue
-        state = hist._series[key]
-        index = int(worker)
-        respawns = 0
-        if health is not None and index < len(health.respawn_counts):
-            respawns = health.respawn_counts[index]
-        profiles.append(
-            WorkerProfile(
-                worker=index,
-                batches=state.count,
-                p50_ms=hist.quantile(0.50, pool=pool_label, worker=worker) * 1e3,
-                p99_ms=hist.quantile(0.99, pool=pool_label, worker=worker) * 1e3,
-                respawns=respawns,
-            )
-        )
-    return profiles
 
 
 def run_obs_bench(
@@ -226,14 +150,15 @@ def run_obs_bench(
     rounds: int = 3,
     sample_every: int = 32,
 ) -> ObsBenchResult:
-    """Bound instrumentation overhead on the pool-backed batched replay.
+    """Bound instrumentation overhead on the in-process batched replay.
 
     All three variants process the identical burst sequence through
-    identically-configured pool-backed ``ShardedEnforcer`` instances
-    (``flow_cache_size=0`` keeps real per-packet work on the path, as
-    in :func:`~repro.experiments.fleet.run_shard_backend_comparison`).
+    identically-configured ``ShardedEnforcer`` instances
+    (``flow_cache_size=0`` keeps a full decode and evaluation on every
+    packet, so the sampled path reaches every stage it can).
     Rounds interleave the variants so drift penalizes them equally, and
-    each variant's wall is the median over rounds.
+    each round starts with the next variant, so no variant always runs
+    first or last; each variant's wall is the median over rounds.
     """
     if packets < 1:
         raise ValueError("the replay needs at least one packet")
@@ -255,39 +180,28 @@ def run_obs_bench(
         flow_cache_size=flow_cache_size,
     )
 
-    plain = ShardedEnforcer(backend="pool", **kwargs)
-    nulled = ShardedEnforcer(backend="pool", **kwargs)
+    plain = ShardedEnforcer(**kwargs)
+    nulled = ShardedEnforcer(**kwargs)
     nulled.attach_obs(RuntimeObservability(NULL_REGISTRY, sample_every=sample_every))
     obs = RuntimeObservability(sample_every=sample_every)
-    instrumented = ShardedEnforcer(backend="pool", **kwargs)
+    instrumented = ShardedEnforcer(**kwargs)
     instrumented.attach_obs(obs)
     variants = [plain, nulled, instrumented]
 
     warmup = replay[: min(64, len(replay))]
     for enforcer in variants:
-        enforcer.process_batch_timed(warmup, backend="sequential")
+        enforcer.process_batch_timed(warmup)
 
-    pipelined = plain.backend == "pool"
     walls: list[list[float]] = [[], [], []]
     verdict_runs: list[list] = [[], [], []]
-    for _ in range(rounds):
-        for index, enforcer in enumerate(variants):
-            verdicts, wall = _run_bursts(enforcer, bursts, pipelined)
+    for round_index in range(rounds):
+        for offset in range(len(variants)):
+            index = (round_index + offset) % len(variants)
+            verdicts, wall = _run_bursts(variants[index], bursts)
             walls[index].append(wall)
             verdict_runs[index] = verdicts
 
-    health = instrumented.pool_health()
-    profiles = worker_profiles(obs, SHARD_POOL, health)
-    stage_seconds = obs.stage_breakdown(SHARD_POOL)
-    enforcer_hist = obs.registry.get("enforcer_stage_seconds")
-    samples: dict[str, int] = {}
-    if enforcer_hist is not None and hasattr(enforcer_hist, "_series"):
-        for key, state in enforcer_hist._series.items():
-            if state.count:
-                samples[key[0]] = state.count
-    for enforcer in variants:
-        enforcer.close()
-
+    breakdown = obs.stage_breakdown()
     return ObsBenchResult(
         packets=len(replay),
         shards=shards,
@@ -295,14 +209,12 @@ def run_obs_bench(
         batches=len(bursts),
         rounds=rounds,
         sample_every=sample_every,
-        backend=plain.backend,
         uninstrumented_wall_s=median(walls[0]),
         null_wall_s=median(walls[1]),
         instrumented_wall_s=median(walls[2]),
         verdicts_match=verdict_runs[0] == verdict_runs[1] == verdict_runs[2],
-        stage_seconds=stage_seconds,
-        enforcer_samples=samples,
-        workers=profiles,
+        stage_seconds={stage: seconds for stage, (_, seconds) in breakdown.items()},
+        enforcer_samples={stage: samples for stage, (samples, _) in breakdown.items()},
     )
 
 
@@ -313,12 +225,9 @@ class ObsProfile:
     packets: int
     shards: int
     batches: int
-    backend: str
     frames: list = field(default_factory=list)
-    events: list = field(default_factory=list)
     prometheus: str = ""
     jsonl: str = ""
-    degraded: bool = False
 
     def final_frame(self) -> str:
         return self.frames[-1] if self.frames else "(no frames captured)"
@@ -338,9 +247,8 @@ def run_obs_profile(
 
     ``frames`` caps how many ``top``-style snapshots are rendered (one
     after every ``ceil(batches / frames)``-th burst plus a final one);
-    the closing frame folds the cumulative enforcer stats and pool
-    health gauges into the registry before export, so the Prometheus
-    and JSONL text carry the full picture.
+    the cumulative enforcer stats are folded into the registry before
+    export, so the Prometheus and JSONL text carry the full picture.
     """
     if frames < 1:
         raise ValueError("need at least one profiler frame")
@@ -353,52 +261,24 @@ def run_obs_profile(
 
     obs = RuntimeObservability(sample_every=sample_every)
     enforcer = ShardedEnforcer(
-        database=database,
-        policy=policy,
-        num_shards=shards,
-        keep_records=False,
-        backend="pool",
+        database=database, policy=policy, num_shards=shards, keep_records=False
     )
     enforcer.attach_obs(obs)
-    monitor = PoolHealthMonitor(HealthThresholds(), source="obs-cli")
-    degraded = enforcer.backend != "pool"
 
-    profile = ObsProfile(
-        packets=len(replay),
-        shards=shards,
-        batches=len(bursts),
-        backend=enforcer.backend,
-        degraded=degraded,
-    )
+    profile = ObsProfile(packets=len(replay), shards=shards, batches=len(bursts))
     every = max(1, -(-len(bursts) // frames))
     for index, burst in enumerate(bursts):
-        if degraded:
-            enforcer.process_batch_timed(burst)
-        else:
-            enforcer.collect_batch(enforcer.submit_batch(burst))
+        enforcer.process_batch_timed(burst)
         if (index + 1) % every == 0 or index == len(bursts) - 1:
-            health = enforcer.pool_health()
-            if health is not None:
-                monitor.check(health, degraded=degraded)
             profile.frames.append(
                 render_top(
                     obs,
-                    SHARD_POOL,
-                    health=health,
-                    events=monitor.events,
                     title=f"obs profile [{index + 1}/{len(bursts)}]",
-                    degraded=degraded,
+                    stats=enforcer.aggregate_stats(),
                 )
             )
 
-    record_enforcer_stats(
-        obs.registry, enforcer.aggregate_stats(), source="obs-profile"
-    )
-    health = enforcer.pool_health()
-    if health is not None:
-        record_pool_health(obs.registry, health)
-    profile.events = list(monitor.events)
+    record_enforcer_stats(obs.registry, enforcer.aggregate_stats(), source="obs-profile")
     profile.prometheus = to_prometheus(obs.registry)
     profile.jsonl = to_jsonl(obs.registry)
-    enforcer.close()
     return profile

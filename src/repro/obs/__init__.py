@@ -1,27 +1,25 @@
-"""Runtime observability: metrics registry, trace spans, exporters,
-pool health, and the live fleet profiler.
+"""Runtime observability: metrics registry, exporters, and the
+sampled-stage profiler.
 
 Attach a :class:`RuntimeObservability` to a
 :class:`~repro.netstack.sharding.ShardedEnforcer` or
 :class:`~repro.core.fleet.GatewayFleet` via ``attach_obs`` and every
-hot path — enforcement stages, pool batches, worker pipes — reports
-into one mergeable :class:`MetricsRegistry`; leave it detached (or use
-:data:`NULL_REGISTRY`) and the runtime keeps today's throughput.
+enforcer reports sampled per-stage latency into one
+:class:`MetricsRegistry`; leave it detached (or use
+:data:`NULL_REGISTRY`) and the enforcement loop keeps today's
+throughput.
 """
 
 from repro.obs.export import (
     merge_snapshots,
     record_enforcer_stats,
-    record_pool_health,
     to_jsonl,
     to_prometheus,
 )
-from repro.obs.health import HealthThresholds, PoolHealthMonitor, PoolHealthSnapshot
 from repro.obs.instrument import (
     DEFAULT_SAMPLE_EVERY,
     ENFORCER_STAGES,
     EnforcerObservability,
-    ObsConfig,
     RuntimeObservability,
 )
 from repro.obs.metrics import (
@@ -34,8 +32,7 @@ from repro.obs.metrics import (
     NullRegistry,
     histogram_quantile,
 )
-from repro.obs.profiler import render_top, render_worker_table
-from repro.obs.trace import POOL_STAGES, BatchTrace, StageSpan, TraceLog
+from repro.obs.profiler import render_top
 
 __all__ = [
     "LATENCY_BUCKETS",
@@ -46,23 +43,13 @@ __all__ = [
     "NullRegistry",
     "NULL_REGISTRY",
     "histogram_quantile",
-    "POOL_STAGES",
-    "StageSpan",
-    "BatchTrace",
-    "TraceLog",
     "to_prometheus",
     "to_jsonl",
     "merge_snapshots",
     "record_enforcer_stats",
-    "record_pool_health",
-    "PoolHealthSnapshot",
-    "HealthThresholds",
-    "PoolHealthMonitor",
     "ENFORCER_STAGES",
     "DEFAULT_SAMPLE_EVERY",
-    "ObsConfig",
     "EnforcerObservability",
     "RuntimeObservability",
     "render_top",
-    "render_worker_table",
 ]

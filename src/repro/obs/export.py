@@ -3,9 +3,9 @@
 Both exporters work from the deterministic
 :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` dict (families
 sorted by name, series by label values), so two registries that merged
-the same worker deltas — in any order — export byte-identical text.
-:func:`merge_snapshots` is the offline counterpart of the parent pool's
-live fold: it reduces a collection of worker-local snapshots into one.
+the same snapshots — in any order — export byte-identical text.
+:func:`merge_snapshots` reduces snapshots taken in separate processes or
+runs (e.g. parsed JSONL exports) into one.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "to_jsonl",
     "merge_snapshots",
     "record_enforcer_stats",
-    "record_pool_health",
 ]
 
 _NS = 1_000_000_000
@@ -90,7 +89,7 @@ def to_jsonl(registry_or_snapshot) -> str:
 
 
 def merge_snapshots(snapshots) -> dict:
-    """Reduce worker-local snapshots into one snapshot dict.  The merge
+    """Reduce separately taken snapshots into one snapshot dict.  The merge
     is order-independent (see :mod:`repro.obs.metrics`)."""
     merged = MetricsRegistry()
     for snapshot in snapshots:
@@ -122,23 +121,3 @@ def record_enforcer_stats(registry, stats, source: str = "gateway", flow_cache_l
             labels=("source",),
         ).set(flow_cache_len, source=source)
 
-
-def record_pool_health(registry, health) -> None:
-    """Project a :class:`~repro.obs.health.PoolHealthSnapshot` into
-    gauges so exports carry the pool's structural state."""
-    pool = health.name
-    registry.gauge(
-        "pool_outstanding_bursts", "Bursts submitted but not collected", labels=("pool",)
-    ).set(health.outstanding_bursts, pool=pool)
-    depth = registry.gauge(
-        "pool_queue_depth", "Unharvested batches per worker", labels=("pool", "worker")
-    )
-    incarnation = registry.gauge(
-        "pool_worker_incarnation",
-        "Fork count per worker slot (1 = never respawned)",
-        labels=("pool", "worker"),
-    )
-    for index, value in enumerate(health.queue_depths):
-        depth.set(value, pool=pool, worker=str(index))
-    for index, value in enumerate(health.incarnations):
-        incarnation.set(value, pool=pool, worker=str(index))

@@ -1,9 +1,9 @@
 """Labeled metric primitives with deterministic cross-process merge.
 
-The registry is the observability substrate for the pool runtime: the
-parent process and every forked worker each hold their own
-:class:`MetricsRegistry`, workers pipe :meth:`~MetricsRegistry.drain`
-deltas back with batch results, and the parent folds them in with
+The registry is the observability substrate of the enforcement path:
+sampled stage latency lands in one in-process :class:`MetricsRegistry`.
+Snapshots taken elsewhere (another process, an earlier run, a
+:meth:`~MetricsRegistry.drain` delta) fold in with
 :meth:`~MetricsRegistry.merge_snapshot`.  Merging is associative and
 commutative by construction — counters and histogram bucket counts are
 integers, histogram sums are integer *nanoseconds* (never floats, whose
@@ -284,8 +284,8 @@ class MetricsRegistry:
     def drain(self) -> dict:
         """Snapshot, then zero every series (registrations survive).
 
-        The exactly-once delta idiom the worker pipes use: each drained
-        snapshot is merged into the parent precisely once, mirroring
+        The exactly-once delta idiom: each drained snapshot is merged
+        into an aggregate precisely once, mirroring
         ``EnforcerStats.delta_since``.
         """
         snap = self.snapshot()

@@ -1,20 +1,16 @@
-"""`top`-style text rendering of a live pool fleet.
+"""`top`-style text rendering of the sampled enforcement stages.
 
 Pure formatting: one frame is a string built from a
-:class:`~repro.obs.instrument.RuntimeObservability` bundle, an optional
-:class:`~repro.obs.health.PoolHealthSnapshot`, and the health events
-raised so far.  The ``obs`` CLI prints successive frames while a replay
-runs; tests assert on frame content, so rendering stays deterministic
-given identical inputs.
+:class:`~repro.obs.instrument.RuntimeObservability` bundle and,
+optionally, the enforcer's cumulative :class:`EnforcerStats`.  The
+``obs`` CLI prints successive frames while a replay runs; tests assert
+on frame content, so rendering stays deterministic given identical
+inputs.
 """
 
 from __future__ import annotations
 
-__all__ = ["render_worker_table", "render_top"]
-
-
-def _fmt_ms(seconds: float) -> str:
-    return f"{seconds * 1e3:8.3f}"
+__all__ = ["render_top"]
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
@@ -24,102 +20,37 @@ def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
             widths[index] = max(widths[index], len(cell))
     lines = ["  ".join(header.ljust(widths[i]) for i, header in enumerate(headers))]
     for row in rows:
-        lines.append("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)))
+        cells = [row[0].ljust(widths[0])]
+        cells.extend(cell.rjust(widths[i]) for i, cell in enumerate(row) if i)
+        lines.append("  ".join(cells))
     return lines
 
 
-def render_worker_table(obs, pool: str, health=None) -> list[str]:
-    """Per-worker rows: batches, p50/p99 enforce latency, queue depth,
-    incarnation and respawn count (from the health snapshot when given)."""
-    hist = obs.registry.get("pool_worker_batch_seconds")
-    workers: dict[int, object] = {}
-    if hist is not None and hasattr(hist, "_series"):
-        for key, state in hist._series.items():
-            pool_label, worker = key
-            if pool_label == pool:
-                workers[int(worker)] = state
-    if health is not None:
-        for index in range(health.workers):
-            workers.setdefault(index, None)
-    rows = []
-    for index in sorted(workers):
-        state = workers[index]
-        if state is not None and state.count:
-            batches = state.count
-            p50 = hist.quantile(0.50, pool=pool, worker=str(index))
-            p99 = hist.quantile(0.99, pool=pool, worker=str(index))
-        else:
-            batches, p50, p99 = 0, 0.0, 0.0
-        depth = incarnation = respawns = alive = "-"
-        if health is not None and index < health.workers:
-            depth = str(health.queue_depths[index])
-            incarnation = str(health.incarnations[index])
-            respawns = str(health.respawn_counts[index])
-            alive = "up" if health.alive[index] else "down"
-        rows.append(
-            [
-                f"w{index}",
-                alive,
-                str(batches),
-                _fmt_ms(p50).strip(),
-                _fmt_ms(p99).strip(),
-                depth,
-                incarnation,
-                respawns,
-            ]
+def render_top(obs, title: str = "obs", stats=None) -> str:
+    """One profiler frame: a row per sampled enforcer stage (samples,
+    p50/p99 latency, total sampled time) in pipeline order."""
+    lines = [f"{title} — sampling 1/{obs.sample_every} packets"]
+    if stats is not None:
+        lookups = stats.cache_hits + stats.cache_misses
+        hit_ratio = stats.cache_hits / lookups if lookups else 0.0
+        lines.append(
+            f"packets: {stats.packets_seen} seen, {stats.packets_dropped} dropped; "
+            f"flow-cache hit ratio {hit_ratio:.2f}, {stats.full_decodes} full decode(s)"
         )
-    headers = ["worker", "state", "batches", "p50 ms", "p99 ms", "queue", "incarn", "respawns"]
-    return _table(headers, rows)
-
-
-def render_top(
-    obs,
-    pool: str,
-    health=None,
-    events=None,
-    title: str = "fleet obs",
-    degraded: bool = False,
-) -> str:
-    """One full profiler frame for ``pool``."""
-    lines: list[str] = []
-    if health is not None:
-        summary = (
-            f"{health.workers} worker(s), {health.outstanding_bursts} burst(s) in "
-            f"flight; {health.crashes} crash(es) / {health.respawns} respawn(s); "
-            f"ring {health.ring_batches} / pickled {health.pickled_batches}"
-        )
-    elif degraded:
-        summary = "degraded to sequential (no fork support) — no live workers"
-    else:
-        summary = "pool not started"
-    lines.append(f"{title} — {pool}: {summary}")
-    lines.extend(render_worker_table(obs, pool, health))
-
-    breakdown = obs.stage_breakdown(pool)
-    if breakdown:
-        parts = [
-            f"{stage} {total * 1e3:.2f} ms"
-            for stage, total in sorted(breakdown.items(), key=lambda item: -item[1])
+    breakdown = obs.stage_breakdown()
+    if not breakdown:
+        lines.append("no stage samples yet")
+        return "\n".join(lines)
+    hist = obs.registry.get("enforcer_stage_seconds")
+    rows = [
+        [
+            stage,
+            str(samples),
+            f"{hist.quantile(0.50, stage=stage) * 1e6:.1f}",
+            f"{hist.quantile(0.99, stage=stage) * 1e6:.1f}",
+            f"{seconds * 1e3:.3f}",
         ]
-        lines.append("stages: " + " | ".join(parts))
-
-    enforcer_hist = obs.registry.get("enforcer_stage_seconds")
-    if enforcer_hist is not None and hasattr(enforcer_hist, "_series"):
-        parts = []
-        for key in sorted(enforcer_hist._series):
-            state = enforcer_hist._series[key]
-            if state.count:
-                parts.append(
-                    f"{key[0]} p50 {enforcer_hist.quantile(0.5, stage=key[0]) * 1e6:.0f}us"
-                    f"/{state.count} samples"
-                )
-        if parts:
-            lines.append("enforcer (sampled): " + " | ".join(parts))
-
-    if events:
-        lines.append(f"health events ({len(events)}):")
-        for alert in events[-5:]:
-            lines.append(f"  {alert.summary()}")
-    else:
-        lines.append("health events: none")
+        for stage, (samples, seconds) in breakdown.items()
+    ]
+    lines.extend(_table(["stage", "samples", "p50 us", "p99 us", "total ms"], rows))
     return "\n".join(lines)

@@ -245,20 +245,6 @@ class TestGatewayBenchCommand:
         assert "integrity outcomes: 0 untagged, 0 unknown-app, 0 decode-failure" in out
         assert "all paths verdict-identical: True" in out
 
-    def test_gateway_bench_pool_backend_rows(self, capsys):
-        assert main(
-            ["gateway-bench", "--packets", "600", "--flows", "32", "--shards", "2",
-             "--corpus-apps", "2", "--fig4-iterations", "0", "--backend", "pool"]
-        ) == 0
-        out = capsys.readouterr().out
-        # The sharded rows name the execution engine they actually ran on.
-        assert "sharded-2-pool" in out
-        # The health tail: crash/respawn/fallback counters plus the
-        # ring-vs-pickle transport split for the pool rows.
-        assert "pool health:" in out
-        assert "via ring" in out
-        assert "all paths verdict-identical: True" in out
-
     def test_gateway_bench_surfaces_fig4_throughput(self, capsys):
         assert main(
             ["gateway-bench", "--packets", "400", "--flows", "16", "--shards", "2",
@@ -271,67 +257,49 @@ class TestGatewayBenchCommand:
 
 
 class TestFleetCommand:
-    def test_fleet_pool_backend_summary(self, capsys):
+    def test_fleet_prints_measured_wall_beside_modelled(self, capsys):
         assert main(
             ["fleet", "--packets", "900", "--devices", "16", "--gateways", "3",
              "--shards", "1", "--edits", "3", "--corpus-apps", "4",
-             "--backend", "pool", "--skip-backend", "--skip-late-joiner"]
+             "--skip-late-joiner"]
         ) == 0
         out = capsys.readouterr().out
         assert "fleet verdict-identical to single gateway: True" in out
-        assert "replicas converged (fingerprint-verified): True" in out
-        # The pool summary line: measured pipelined wall + live delta pushes.
-        assert "gateway pool:" in out
-        assert "delta pushes to live workers" in out
-        assert "pool health:" in out
-
-    def test_fleet_serial_backend_has_no_pool_line(self, capsys):
-        assert main(
-            ["fleet", "--packets", "900", "--devices", "16", "--gateways", "3",
-             "--shards", "1", "--edits", "3", "--corpus-apps", "4",
-             "--backend", "serial", "--skip-backend", "--skip-late-joiner"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "fleet verdict-identical to single gateway: True" in out
-        assert "gateway pool:" not in out
+        assert "fleet-3x1 measured" in out
+        assert "fleet-3x1 modelled parallel" in out
 
     def test_fleet_backend_flag_parses(self):
-        args = build_parser().parse_args(["fleet", "--backend", "pool"])
-        assert args.backend == "pool"
+        # One execution path: the fleet command parses without a backend
+        # choice, and the removed backend flags are rejected.
         args = build_parser().parse_args(["fleet"])
-        assert args.backend == "serial"
-        for rejected in ("threads", "process"):
+        assert not hasattr(args, "backend")
+        for argv in (
+            ["fleet", "--backend", "pool"],
+            ["fleet", "--skip-backend"],
+            ["fleet", "--backend-packets", "100"],
+        ):
             with pytest.raises(SystemExit):
-                build_parser().parse_args(["fleet", "--backend", rejected])
+                build_parser().parse_args(argv)
 
     def test_gateway_bench_backend_flag_parses(self):
-        args = build_parser().parse_args(["gateway-bench", "--backend", "pool"])
-        assert args.backend == "pool"
-        for rejected in ("fork", "process"):
+        args = build_parser().parse_args(["gateway-bench"])
+        assert not hasattr(args, "backend")
+        for rejected in ("pool", "serial"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["gateway-bench", "--backend", rejected])
 
-    def test_backend_help_notes_fork_requirement(self):
-        parser = build_parser()
-        for command in ("fleet", "gateway-bench"):
-            subparser_help = None
-            for action in parser._subparsers._group_actions:
-                subparser_help = action.choices[command].format_help()
-            # argparse line-wraps the help; compare whitespace-normalized.
-            assert "fork start method" in " ".join(subparser_help.split())
-
 
 class TestObsCommand:
-    def test_obs_snapshot_renders_the_worker_table(self, capsys):
+    def test_obs_snapshot_renders_the_stage_table(self, capsys):
         assert main(
             ["obs", "--packets", "400", "--flows", "16", "--shards", "2",
              "--corpus-apps", "2", "--batches", "4", "--snapshot"]
         ) == 0
         out = capsys.readouterr().out
-        assert "obs profile" in out
-        assert "p50 ms" in out and "p99 ms" in out and "respawns" in out
-        assert "stages:" in out
-        assert "health events" in out
+        assert "obs profile [4/4]" in out
+        assert "packets: 400 seen" in out
+        assert "p50 us" in out and "p99 us" in out
+        assert "\nextract " in out
 
     def test_obs_live_mode_prints_every_frame(self, capsys):
         assert main(
@@ -351,7 +319,7 @@ class TestObsCommand:
         assert "wrote prom export" in capsys.readouterr().out
         text = metrics.read_text(encoding="utf-8")
         assert "# TYPE enforcer_packets_seen gauge" in text
-        assert "pool_batches_total" in text or "enforcer_stage_seconds" in text
+        assert "# TYPE enforcer_stage_seconds histogram" in text
 
     def test_obs_export_jsonl_round_trips(self, capsys):
         assert main(

@@ -1,9 +1,8 @@
 """Tests for the fleet runtime: delta-log replication, gateway replicas,
-the worker-pool shard backend, device fleets and multi-gateway
-deployments.
+sharded gateways, device fleets and multi-gateway deployments.
 
 The common thread mirrors the fast-path suites: no matter how the
-deployment is scaled out — replicated gateways, pooled shard workers,
+deployment is scaled out — replicated gateways, enforcer shards,
 staged catch-up — enforcement must stay verdict-identical to one
 gateway applying the same policy versions.
 """
@@ -27,7 +26,6 @@ from repro.core.policy_store import (
 from repro.netstack.ip import IPPacket
 from repro.netstack.netfilter import Verdict
 from repro.netstack.sharding import ShardedEnforcer
-from repro.runtime.pool import fork_available
 from repro.network.topology import EnterpriseNetwork, NetworkConfig
 from repro.workloads.corpus import CorpusConfig, CorpusGenerator
 from repro.workloads.fleet import DeviceFleet, DeviceFleetConfig
@@ -268,153 +266,75 @@ class TestGatewayReplica:
             replica.catch_up(store.delta_log)
 
 
-needs_fork = pytest.mark.skipif(not fork_available(), reason="the pool backend needs fork")
+class TestShardedGateway:
+    """Records, stats and telemetry of a sharded gateway read as one
+    enforcement point."""
 
-
-class TestPoolBackend:
-    """Records, stats and telemetry of pool-backed shards fold back into
-    the parent exactly as the sequential backend would leave them."""
-
-    def test_unknown_backend_rejected(self, database):
-        # "process" named a removed backend; the pool is the parallel one.
-        for backend in ("threads", "process"):
-            with pytest.raises(ValueError, match="unknown shard backend"):
-                ShardedEnforcer(database=database, num_shards=2, backend=backend)
-
-    @needs_fork
-    def test_pool_stats_and_records_fold_back_into_parent(self, database):
-        pooled = ShardedEnforcer(
+    def test_stats_and_records_merge_into_packet_order(self, database):
+        sharded = ShardedEnforcer(
             database=database,
             policy=Policy.deny_libraries(["com/flurry"]),
             num_shards=2,
-            backend="pool",
         )
         packets = replay_packets(30)
-        pooled.process_batch_timed(packets)
-        stats = pooled.aggregate_stats()
+        sharded.process_batch_timed(packets)
+        stats = sharded.aggregate_stats()
         assert stats.packets_seen == len(packets)
         assert stats.packets_allowed + stats.packets_dropped == len(packets)
-        assert len(pooled.records) == len(packets)
-        assert [r.packet_id for r in pooled.records] == sorted(
-            r.packet_id for r in pooled.records
+        assert len(sharded.records) == len(packets)
+        assert [r.packet_id for r in sharded.records] == sorted(
+            r.packet_id for r in sharded.records
         )
-        pooled.close()
 
-    @needs_fork
-    def test_pool_batches_publish_to_audit_sink_without_keep_records(self, database):
+    def test_audit_sink_sees_every_packet_without_keep_records(self, database):
         from repro.telemetry.pipeline import TelemetryPipeline
 
-        pooled = ShardedEnforcer(
+        sharded = ShardedEnforcer(
             database=database,
             policy=Policy.deny_libraries(["com/flurry"]),
             num_shards=2,
-            backend="pool",
             keep_records=False,
         )
         pipeline = TelemetryPipeline(window_packets=256)
-        pooled.attach_audit_sink(pipeline, "gw0")
+        sharded.attach_audit_sink(pipeline, "gw0")
         packets = replay_packets(30)
-        pooled.process_batch_timed(packets)
-        # The data plane's publish contract holds across the fork even
-        # though nothing is stored: the workers capture their batches
-        # and the parent republishes them.
+        sharded.process_batch_timed(packets)
+        # The data plane's publish contract holds although nothing is
+        # stored.
         assert pipeline.records_seen == len(packets)
-        assert len(pooled.records) == 0
-        # ...and capturing must not flip keep_records in the worker:
-        # that would steer the decision path into decoding signatures,
-        # publishing different records (and stats) than the sequential
-        # backend does under the identical configuration.
-        sequential = ShardedEnforcer(
-            database=database,
-            policy=Policy.deny_libraries(["com/flurry"]),
-            num_shards=2,
-            keep_records=False,
-        )
-        twin = TelemetryPipeline(window_packets=256)
-        sequential.attach_audit_sink(twin, "gw0")
-        sequential.process_batch_timed(packets)
-        assert pooled.aggregate_stats().full_decodes == (
-            sequential.aggregate_stats().full_decodes
-        )
-        assert pipeline.aggregator.snapshot() == twin.aggregator.snapshot()
-        pooled.close()
+        assert len(sharded.records) == 0
 
-    @needs_fork
-    def test_pool_workers_never_publish_into_their_sink_copies(self, database, tmp_path):
-        from repro.telemetry.audit import AuditLog
+    def test_audit_sink_publishes_past_a_full_record_ring(self, database):
         from repro.telemetry.pipeline import TelemetryPipeline
 
-        # With keep_records=True a worker running its inherited sink copy
-        # would make a spooling AuditLog behind the sink write segment
-        # files from inside the fork that collide with the parent's,
-        # corrupting the round-trip.
-        pooled = ShardedEnforcer(
+        sharded = ShardedEnforcer(
             database=database,
             policy=Policy.deny_libraries(["com/flurry"]),
             num_shards=2,
-            backend="pool",
-            keep_records=True,
-        )
-        pipeline = TelemetryPipeline(
-            window_packets=256,
-            audit_log=AuditLog(spool_dir=tmp_path, segment_records=4),
-        )
-        pooled.attach_audit_sink(pipeline, "gw0")
-        packets = replay_packets(30)
-        pooled.process_batch_timed(packets)
-        pooled.close()
-        pipeline.flush()
-        assert pipeline.records_seen == len(packets)
-        spooled = AuditLog.load_segments(tmp_path)
-        assert sorted(r.packet_id for r in spooled) == sorted(
-            p.packet_id for p in packets
-        )
-
-    @needs_fork
-    def test_pool_batches_publish_past_a_full_record_ring(self, database):
-        from repro.telemetry.pipeline import TelemetryPipeline
-
-        pooled = ShardedEnforcer(
-            database=database,
-            policy=Policy.deny_libraries(["com/flurry"]),
-            num_shards=2,
-            backend="pool",
             record_capacity=8,  # far smaller than the replay
         )
         pipeline = TelemetryPipeline(window_packets=256)
-        pooled.attach_audit_sink(pipeline, "gw0")
+        sharded.attach_audit_sink(pipeline, "gw0")
         packets = replay_packets(30)
-        pooled.process_batch_timed(packets)
-        pooled.process_batch_timed(packets)
-        # A full bounded ring keeps a constant length, so a length-based
-        # slice in the worker would read as "no new records" and
-        # telemetry would silently go blind after the ring wrapped.
+        sharded.process_batch_timed(packets)
+        sharded.process_batch_timed(packets)
         assert pipeline.records_seen == 2 * len(packets)
-        # The parent ring still holds (only) the most recent records.
-        assert len(pooled.records) == 8 * pooled.num_shards
-        pooled.close()
+        # The ring still holds (only) the most recent records.
+        assert len(sharded.records) == 8 * sharded.num_shards
 
-    @needs_fork
-    def test_policy_churn_between_pool_batches_takes_effect(self, database):
-        # Without an attached control store, an edit between batches
-        # reaches the live workers as a full sync.
+    def test_policy_churn_between_batches_takes_effect(self, database):
         store = PolicyStore.from_policy(Policy.deny_libraries(["com/flurry"]))
-        pooled = ShardedEnforcer(
-            database=database, policy=store.snapshot(), num_shards=2, backend="pool"
-        )
-        store.subscribe(pooled, push=False)
+        sharded = ShardedEnforcer(database=database, policy=store.snapshot(), num_shards=2)
+        store.subscribe(sharded, push=False)
         packet = make_packet(APP_B_ID, [0, 2])
-        assert pooled.process_batch_timed([packet]).results[0][0] is Verdict.ACCEPT
+        assert sharded.process_batch_timed([packet]).results[0][0] is Verdict.ACCEPT
         store.apply(PolicyUpdate().add_rule(DENY_MIXPANEL))
-        assert pooled.process_batch_timed([packet]).results[0][0] is Verdict.DROP
-        pooled.close()
+        assert sharded.process_batch_timed([packet]).results[0][0] is Verdict.DROP
 
-    @needs_fork
     def test_empty_batch_is_fine(self, database):
-        pooled = ShardedEnforcer(database=database, num_shards=2, backend="pool")
-        batch = pooled.process_batch_timed([])
+        sharded = ShardedEnforcer(database=database, num_shards=2)
+        batch = sharded.process_batch_timed([])
         assert batch.results == [] and batch.packets == 0
-        pooled.close()
 
 
 class TestChurnStats:
@@ -474,6 +394,23 @@ class TestGatewayFleet:
         expected = [single.process(p)[0] for p in packets]
         assert [v for v, _ in batch.results] == expected
         assert sum(batch.gateway_packet_counts) == len(packets)
+
+    def test_burst_carries_measured_wall_beside_the_model(self, database):
+        fleet = GatewayFleet(database=database, policy=Policy.allow_all(), num_gateways=3,
+                             shards_per_gateway=2)
+        batch = fleet.process_batch_timed(replay_packets(48))
+        assert batch.measured_wall_s > 0
+        # The gateways ran back to back inside the measured wall.
+        assert batch.measured_wall_s >= batch.serial_wall_s >= batch.parallel_wall_s
+
+    def test_lost_gateway_results_raise_instead_of_silent_loss(self, database, monkeypatch):
+        fleet = GatewayFleet(database=database, policy=Policy.allow_all(), num_gateways=2)
+        packets = replay_packets(16)
+        lost = [i for i, p in enumerate(packets) if fleet.gateway_index(p) == 1]
+        assert lost and len(lost) < len(packets)
+        monkeypatch.setattr(fleet.replicas[1].enforcer, "process_batch", lambda packets: [])
+        with pytest.raises(RuntimeError, match=f"fleet burst lost {len(lost)} of 16"):
+            fleet.process_batch_timed(packets)
 
     def test_live_fleet_converges_on_every_commit(self, database):
         fleet = GatewayFleet(
@@ -679,12 +616,6 @@ class TestMultiGatewayDeployment:
         with pytest.raises(ValueError):
             BorderPatrolDeployment(network=network, num_gateways=3)
 
-    def test_shard_backend_is_single_gateway_only(self):
-        # Fleet gateways run their shards in-process; a shard backend
-        # the fleet would ignore is rejected instead.
-        with pytest.raises(ValueError, match="gateway_backend"):
-            BorderPatrolDeployment(num_gateways=2, enforcer_shards=2, shard_backend="pool")
-
     def test_apply_update_converges_every_gateway(self):
         deployment = BorderPatrolDeployment(num_gateways=2)
         deployment.apply_update(PolicyUpdate().add_rule(DENY_FLURRY, rule_id="f"))
@@ -751,7 +682,7 @@ class TestFleetCli:
 
         assert main(
             ["fleet", "--packets", "400", "--devices", "8", "--gateways", "2",
-             "--shards", "1", "--edits", "3", "--corpus-apps", "3", "--skip-backend",
+             "--shards", "1", "--edits", "3", "--corpus-apps", "3",
              "--skip-late-joiner"]
         ) == 0
         out = capsys.readouterr().out
@@ -766,7 +697,7 @@ class TestFleetCli:
 
         assert main(
             ["fleet", "--packets", "400", "--devices", "8", "--gateways", "2",
-             "--shards", "1", "--edits", "3", "--corpus-apps", "3", "--skip-backend",
+             "--shards", "1", "--edits", "3", "--corpus-apps", "3",
              "--late-joiner-versions", "60", "--compact-every", "20"]
         ) == 0
         out = capsys.readouterr().out

@@ -1,10 +1,8 @@
-"""Observability substrate: metrics, traces, exports, health rules.
+"""Observability substrate: metrics and exports.
 
-Tier-1 coverage for :mod:`repro.obs` that needs no forked workers —
-the registry's merge algebra, the exporters' determinism, the trace
-log, the health monitor's edge triggering, and the sequential-enforcer
-sampling path (the cross-process half lives in
-``tests/test_obs_runtime.py``).
+Tier-1 coverage for :mod:`repro.obs` — the registry's merge algebra,
+the exporters' determinism, and the single-enforcer sampling path (the
+sharded and fleet attach paths live in ``tests/test_obs_runtime.py``).
 """
 
 from __future__ import annotations
@@ -24,21 +22,14 @@ from repro.experiments.gateway_throughput import (
 from repro.obs import (
     LATENCY_BUCKETS,
     NULL_REGISTRY,
-    BatchTrace,
     EnforcerObservability,
-    HealthThresholds,
     MetricsRegistry,
-    PoolHealthMonitor,
-    PoolHealthSnapshot,
-    TraceLog,
     histogram_quantile,
     merge_snapshots,
     record_enforcer_stats,
-    record_pool_health,
     to_jsonl,
     to_prometheus,
 )
-from repro.obs.trace import POOL_STAGES
 
 
 # -- metric primitives -----------------------------------------------------------------
@@ -200,103 +191,8 @@ class TestExports:
         assert registry.get("enforcer_packets_seen").value(source="gw0") == 40
         assert registry.get("flow_cache_entries").value(source="gw0") == 3
 
-    def test_record_pool_health_projects_structure_to_gauges(self):
-        health = _snapshot(queue_depths=(2, 0), incarnations=(1, 3))
-        registry = MetricsRegistry()
-        record_pool_health(registry, health)
-        assert registry.get("pool_queue_depth").value(pool="p", worker="0") == 2
-        assert registry.get("pool_worker_incarnation").value(pool="p", worker="1") == 3
 
-
-# -- traces ----------------------------------------------------------------------------
-
-
-class TestTraces:
-    def test_batch_trace_breaks_down_stages(self):
-        trace = BatchTrace("p:1.0", worker=2)
-        for stage in POOL_STAGES:
-            trace.add(stage, start_s=0.0, duration_s=0.01)
-        assert set(trace.stage_seconds()) == set(POOL_STAGES)
-        assert trace.total_s == pytest.approx(0.05)
-        assert trace.to_dict()["worker"] == 2
-
-    def test_trace_log_is_bounded_but_counts_everything(self):
-        log = TraceLog(capacity=3)
-        for index in range(5):
-            log.append(BatchTrace(f"p:{index}", worker=0))
-        assert len(log) == 3
-        assert log.completed == 5
-        assert log.last().batch_id == "p:4"
-
-
-# -- health monitor --------------------------------------------------------------------
-
-
-def _snapshot(**overrides) -> PoolHealthSnapshot:
-    base = dict(
-        name="p",
-        workers=2,
-        queue_depths=(0, 0),
-        outstanding_bursts=0,
-        incarnations=(1, 1),
-        alive=(True, True),
-        crashes=0,
-        respawns=0,
-        batches_replayed=0,
-        ring_batches=10,
-        pickled_batches=0,
-        delta_pushes=0,
-        snapshot_syncs=0,
-    )
-    base.update(overrides)
-    return PoolHealthSnapshot(**base)
-
-
-class TestHealthMonitor:
-    def test_crash_alerts_are_edge_triggered_on_new_crashes(self):
-        monitor = PoolHealthMonitor()
-        assert monitor.check(_snapshot(crashes=1, respawns=1)) != []
-        # Same cumulative count: no re-alert.
-        assert monitor.check(_snapshot(crashes=1, respawns=1)) == []
-        # A further crash fires again.
-        assert monitor.check(_snapshot(crashes=2, respawns=2)) != []
-
-    def test_queue_depth_alert_clears_and_rearms(self):
-        monitor = PoolHealthMonitor(HealthThresholds(max_queue_depth=4))
-        first = monitor.check(_snapshot(queue_depths=(5, 0)))
-        assert [a.kind for a in first] == ["pool-queue-depth"]
-        assert first[0].device == "p-w0"
-        assert monitor.check(_snapshot(queue_depths=(6, 0))) == []  # still active
-        monitor.check(_snapshot(queue_depths=(0, 0)))  # clears
-        assert monitor.check(_snapshot(queue_depths=(9, 0))) != []  # re-arms
-
-    def test_pickle_fallback_needs_minimum_volume(self):
-        monitor = PoolHealthMonitor(
-            HealthThresholds(max_pickle_fallback_ratio=0.5, min_batches_for_fallback_rule=8)
-        )
-        assert monitor.check(_snapshot(ring_batches=1, pickled_batches=3)) == []
-        raised = monitor.check(_snapshot(ring_batches=1, pickled_batches=9))
-        assert [a.kind for a in raised] == ["pool-ring-fallback"]
-
-    def test_alerts_publish_to_an_attached_bus(self):
-        from repro.ops.bus import AlertBus, MemorySink
-
-        bus = AlertBus(clock=None)
-        feed = bus.add_sink(MemorySink())
-        monitor = PoolHealthMonitor(bus=bus, source="test")
-        monitor.check(_snapshot(crashes=1), degraded=True)
-        bus.pump()
-        kinds = {alert.kind for alert in feed.alerts}
-        assert kinds == {"pool-worker-crash", "pool-degraded"}
-        assert all(alert.source == "test" for alert in feed.alerts)
-
-    def test_respawn_counts_derive_from_incarnations(self):
-        health = _snapshot(incarnations=(1, 4))
-        assert health.respawn_counts == (0, 3)
-        assert health.to_dict()["incarnations"] == [1, 4]
-
-
-# -- enforcer sampling (sequential, no fork) -------------------------------------------
+# -- enforcer sampling ---------------------------------------------------------------
 
 
 class TestEnforcerSampling:

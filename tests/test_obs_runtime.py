@@ -1,16 +1,12 @@
-"""Cross-process observability: pool spans, worker deltas, live health.
+"""Observability on the sharded and fleet enforcement paths.
 
-The integration half of the obs suite: a ``backend="pool"`` enforcer
-with a :class:`RuntimeObservability` attached must
+The integration half of the obs suite: a :class:`RuntimeObservability`
+attached to a ``ShardedEnforcer`` or a ``GatewayFleet`` must
 
-* capture every pipeline stage (serialize / ring_write / queue_wait /
-  enforce / fold) for each harvested batch,
-* fold worker-local registries (sampled enforcer stages) back into the
-  parent with batch results,
 * keep verdicts identical to uninstrumented and null-registry runs,
-* surface crashes through the pool counters, the health snapshot, and
-  the monitor's alerts — and keep a respawned worker instrumented,
-* render profiler frames carrying per-worker p50/p99 and respawns.
+* sample enforcer stages from every shard and gateway into the one
+  shared registry (gateways added later included),
+* sum the sampled stages into a breakdown the profiler renders.
 """
 
 from __future__ import annotations
@@ -18,27 +14,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core.fleet import GatewayFleet
+from repro.core.policy import Policy
 from repro.experiments.gateway_throughput import (
     DEFAULT_DENY_LIBRARIES,
     build_replay,
     build_signature_database,
 )
-from repro.core.policy import Policy
 from repro.netstack.sharding import ShardedEnforcer
-from repro.obs import (
-    NULL_REGISTRY,
-    HealthThresholds,
-    PoolHealthMonitor,
-    RuntimeObservability,
-    render_top,
-)
-from repro.obs.trace import POOL_STAGES
-from repro.runtime.pool import fork_available
-
-needs_fork = pytest.mark.skipif(
-    not fork_available(),
-    reason="the pool backend needs the fork start method",
-)
+from repro.obs import ENFORCER_STAGES, NULL_REGISTRY, RuntimeObservability, render_top
 
 
 @pytest.fixture(scope="module")
@@ -59,187 +42,102 @@ def _verdicts(batch):
     return [verdict for verdict, _ in batch.results]
 
 
-def _pooled(database, obs=None, shards=2):
+def _sharded(database, obs=None, shards=2, flow_cache_size=0):
     enforcer = ShardedEnforcer(
         database=database,
         policy=make_policy(),
         num_shards=shards,
         keep_records=False,
-        backend="pool",
-        flow_cache_size=0,
+        flow_cache_size=flow_cache_size,
     )
     if obs is not None:
         enforcer.attach_obs(obs)
     return enforcer
 
 
-@needs_fork
-class TestPoolSpans:
-    def test_every_stage_is_captured_per_batch(self, database, replay):
-        obs = RuntimeObservability(sample_every=16)
-        enforcer = _pooled(database, obs)
-        for start in range(0, len(replay), 200):
-            enforcer.collect_batch(enforcer.submit_batch(replay[start : start + 200]))
-        enforcer.close()
-        assert obs.traces.completed == 3 * 2  # 3 bursts x 2 shard batches
-        for trace in obs.traces:
-            assert set(trace.stage_seconds()) == set(POOL_STAGES)
-            assert trace.total_s > 0
-        breakdown = obs.stage_breakdown("shard-pool")
-        assert set(breakdown) == set(POOL_STAGES)
-        assert breakdown["enforce"] > 0
-
-    def test_worker_registry_deltas_fold_into_parent(self, database, replay):
-        obs = RuntimeObservability(sample_every=8)
-        enforcer = _pooled(database, obs)
-        enforcer.collect_batch(enforcer.submit_batch(replay))
-        enforcer.close()
-        hist = obs.registry.get("enforcer_stage_seconds")
-        assert hist is not None
-        samples = sum(state.count for state in hist._series.values())
-        # 600 packets at 1/8 sampling across the workers' shared tick.
-        assert samples > 0
-        # Per-worker batch latency series exist for both workers.
-        batch_hist = obs.registry.get("pool_worker_batch_seconds")
-        workers = {key[1] for key in batch_hist._series}
-        assert workers == {"0", "1"}
-
+class TestShardedObs:
     def test_verdict_parity_across_instrumentation_tiers(self, database, replay):
-        plain = _pooled(database)
-        nulled = _pooled(database, RuntimeObservability(NULL_REGISTRY))
-        live = _pooled(database, RuntimeObservability())
-        try:
-            expected = _verdicts(plain.process_batch_timed(replay))
-            assert _verdicts(nulled.process_batch_timed(replay)) == expected
-            assert _verdicts(live.process_batch_timed(replay)) == expected
-        finally:
-            for enforcer in (plain, nulled, live):
-                enforcer.close()
+        plain = _sharded(database)
+        nulled = _sharded(database, RuntimeObservability(NULL_REGISTRY))
+        live = _sharded(database, RuntimeObservability(sample_every=4))
+        for start in range(0, len(replay), 200):
+            burst = replay[start : start + 200]
+            expected = _verdicts(plain.process_batch_timed(burst))
+            assert _verdicts(nulled.process_batch_timed(burst)) == expected
+            assert _verdicts(live.process_batch_timed(burst)) == expected
 
-    def test_null_obs_skips_span_capture(self, database, replay):
-        obs = RuntimeObservability(NULL_REGISTRY)
-        assert not obs.enabled
-        enforcer = _pooled(database, obs)
-        enforcer.collect_batch(enforcer.submit_batch(replay[:200]))
-        enforcer.close()
-        assert obs.traces.completed == 0
-        assert obs.registry.snapshot() == {}
+    def test_every_shard_samples_into_the_shared_registry(self, database, replay):
+        # No flow cache: every packet is decoded and evaluated, so the
+        # sampled packets reach every stage but the cache ones.
+        obs = RuntimeObservability(sample_every=8)
+        enforcer = _sharded(database, obs)
+        enforcer.process_batch_timed(replay)
+        breakdown = obs.stage_breakdown()
+        assert list(breakdown) == ["extract", "decode", "eval"]
+        # 600 packets at 1/8 across both shards: one shared tick.
+        assert all(samples == len(replay) // 8 for samples, _ in breakdown.values())
+        assert all(seconds > 0 for _, seconds in breakdown.values())
 
+    def test_cached_path_reports_cache_stages_in_pipeline_order(self, database, replay):
+        obs = RuntimeObservability(sample_every=1)
+        enforcer = _sharded(database, obs, flow_cache_size=4096)
+        enforcer.process_batch_timed(replay)
+        breakdown = obs.stage_breakdown()
+        assert list(breakdown) == list(ENFORCER_STAGES)
+        # Every packet does a lookup; only misses decode and cache.
+        assert breakdown["cache_lookup"][0] == len(replay)
+        assert breakdown["cache_put"][0] == enforcer.stats.cache_misses
 
-@needs_fork
-class TestPoolHealth:
-    def test_health_snapshot_reflects_live_structure(self, database, replay):
-        enforcer = _pooled(database)
-        assert enforcer.pool_health() is None  # pool starts lazily
-        enforcer.process_batch_timed(replay[:100])
-        health = enforcer.pool_health()
-        assert health.name == "shard-pool"
-        assert health.workers == 2
-        assert health.alive == (True, True)
-        assert health.incarnations == (1, 1)
-        assert health.outstanding_bursts == 0
-        assert health.ring_batches + health.pickled_batches >= 2
-        enforcer.close()
+    def test_null_registry_breakdown_is_empty(self, database, replay):
+        obs = RuntimeObservability(NULL_REGISTRY, sample_every=1)
+        _sharded(database, obs).process_batch_timed(replay[:100])
+        assert obs.stage_breakdown() == {}
 
-    def test_crash_surfaces_in_counters_health_and_monitor(self, database):
-        big = build_replay(database.entries(), packets=4000, flows=64, seed=13)
-        obs = RuntimeObservability(sample_every=16)
-        enforcer = _pooled(database, obs)
-        enforcer.process_batch_timed(big[:100])
-        monitor = PoolHealthMonitor(HealthThresholds(), source="obs-test")
-        assert monitor.check(enforcer.pool_health()) == []
-        token = enforcer.submit_batch(big)
-        enforcer._pool.kill_worker(0)
-        enforcer.collect_batch(token)
-        health = enforcer.pool_health()
-        assert health.crashes == 1
-        assert health.respawn_counts[0] == 1
-        crashes = obs.registry.get("pool_worker_crashes_total")
-        assert crashes.value(pool="shard-pool") == 1
-        respawns = obs.registry.get("pool_worker_respawns_total")
-        assert respawns.value(pool="shard-pool") == 1
-        raised = monitor.check(health)
-        assert "pool-worker-crash" in {alert.kind for alert in raised}
-        # The respawned worker came back instrumented: spans keep
-        # flowing after the crash.
-        before = obs.traces.completed
-        enforcer.process_batch_timed(big[:80])
-        assert obs.traces.completed > before
-        enforcer.close()
+    def test_detach_stops_sampling(self, database, replay):
+        obs = RuntimeObservability(sample_every=1)
+        enforcer = _sharded(database, obs)
+        enforcer.process_batch_timed(replay[:50])
+        before = obs.stage_breakdown()["extract"][0]
+        enforcer.attach_obs(None)
+        enforcer.process_batch_timed(replay[50:100])
+        assert obs.stage_breakdown()["extract"][0] == before
 
-    def test_render_top_reports_workers_and_respawns(self, database, replay):
-        obs = RuntimeObservability()
-        enforcer = _pooled(database, obs)
+    def test_render_top_reports_stages_and_stats(self, database, replay):
+        obs = RuntimeObservability(sample_every=4)
+        enforcer = _sharded(database, obs)
         enforcer.process_batch_timed(replay[:200])
-        frame = render_top(
-            obs, "shard-pool", health=enforcer.pool_health(), title="test obs"
-        )
-        enforcer.close()
-        assert "test obs — shard-pool" in frame
-        assert "w0" in frame and "w1" in frame
-        assert "p50 ms" in frame and "p99 ms" in frame
-        assert "respawns" in frame
-        assert "stages:" in frame
-        assert "health events: none" in frame
+        frame = render_top(obs, title="test obs", stats=enforcer.aggregate_stats())
+        assert frame.startswith("test obs — sampling 1/4 packets")
+        assert "packets: 200 seen" in frame
+        assert "p50 us" in frame and "p99 us" in frame
+        for stage in ("extract", "decode", "eval"):
+            assert f"\n{stage} " in frame
+        assert "cache_lookup" not in frame
+
+    def test_render_top_without_samples(self):
+        frame = render_top(RuntimeObservability(), title="idle")
+        assert frame.endswith("no stage samples yet")
 
 
-@needs_fork
 class TestFleetObs:
-    def test_gateway_pool_traces_and_parity(self, database, replay):
-        policy = make_policy()
-        obs = RuntimeObservability(sample_every=16)
+    def test_fleet_obs_parity_and_late_joiner_sampling(self, database, replay):
+        obs = RuntimeObservability(sample_every=1)
         fleet = GatewayFleet(
             database=database,
-            policy=policy,
+            policy=make_policy(),
             num_gateways=2,
+            shards_per_gateway=2,
             keep_records=False,
-            backend="pool",
         )
         fleet.attach_obs(obs)
         control = GatewayFleet(
-            database=database,
-            policy=policy,
-            num_gateways=2,
-            keep_records=False,
+            database=database, policy=make_policy(), num_gateways=2, keep_records=False
         )
-        try:
-            batch = fleet.collect_burst(fleet.submit_burst(replay))
-            expected = _verdicts(control.process_batch_timed(replay))
-            assert _verdicts(batch) == expected
-            assert obs.traces.completed >= 2
-            breakdown = obs.stage_breakdown("gateway-pool")
-            assert set(breakdown) == set(POOL_STAGES)
-            health = fleet.pool_health()
-            assert health.name == "gateway-pool"
-            assert health.workers == 2
-        finally:
-            fleet.close()
-            control.close()
-
-
-class TestSequentialDegradation:
-    def test_obs_attach_is_harmless_without_a_pool(self, database, replay):
-        # Sequential backend: no pool, no spans — but enforcer-level
-        # sampling still flows through the shared observability.
-        obs = RuntimeObservability(sample_every=8)
-        enforcer = ShardedEnforcer(
-            database=database,
-            policy=make_policy(),
-            num_shards=2,
-            keep_records=False,
-            backend="sequential",
+        assert _verdicts(fleet.process_batch_timed(replay)) == _verdicts(
+            control.process_batch_timed(replay)
         )
-        enforcer.attach_obs(obs)
-        control = ShardedEnforcer(
-            database=database,
-            policy=make_policy(),
-            num_shards=2,
-            keep_records=False,
-            backend="sequential",
-        )
-        expected = _verdicts(control.process_batch_timed(replay[:200]))
-        assert _verdicts(enforcer.process_batch_timed(replay[:200])) == expected
-        assert enforcer.pool_health() is None
-        hist = obs.registry.get("enforcer_stage_seconds")
-        assert sum(state.count for state in hist._series.values()) > 0
-        assert obs.traces.completed == 0
+        assert obs.stage_breakdown()["extract"][0] == len(replay)
+        # A gateway added later reports into the same registry at once.
+        late = fleet.add_gateway()
+        late.enforcer.process_batch(replay[:10])
+        assert obs.stage_breakdown()["extract"][0] == len(replay) + 10

@@ -241,13 +241,14 @@ def test_compact_then_catch_up_equals_full_history_replay(
         )
 
 
-# -- persistent worker-pool parity ------------------------------------------------------
+# -- sharded enforcement under churn ---------------------------------------------------
 #
-# The pool runtime extends the invariant to live workers: for ANY
-# interleaving of control-plane edits and packet bursts, a
-# ``backend="pool"`` sharded enforcer fed surgical delta records must
-# produce the identical verdict sequence to the sequential model, and
-# both control stores must converge to the same rule-table fingerprint.
+# The invariant extends to sharded gateways: for ANY interleaving of
+# control-plane edits and packet bursts, a ``ShardedEnforcer`` fed the
+# store's deltas — subscribed directly (single gateway) or through a
+# ``GatewayReplica`` (fleet gateway) — must enforce every burst exactly
+# as a naive enforcer built from the store's current snapshot does, and
+# the replica must converge to the store's rule-table fingerprint.
 
 script_strategy = st.lists(
     st.one_of(edit_strategy, st.just("burst")),
@@ -256,49 +257,45 @@ script_strategy = st.lists(
 )
 
 
-@pytest.mark.skipif(
-    "fork" not in __import__("multiprocessing").get_all_start_methods(),
-    reason="the pool backend needs the fork start method",
-)
 @settings(max_examples=20, deadline=None)
 @given(initial=st.lists(rule_strategy, max_size=4), script=script_strategy)
-def test_pool_backend_enforces_identically_under_policy_churn(initial, script):
+def test_sharded_enforcer_matches_naive_under_policy_churn(initial, script):
     from repro.netstack.sharding import ShardedEnforcer
 
     database = build_database()
     packets = build_packets()
+    store = PolicyStore.from_policy(Policy(rules=list(initial), name="head"), name="prop")
 
-    def run(backend):
-        store = PolicyStore.from_policy(
-            Policy(rules=list(initial), name="head"), name="prop"
+    def sharded(policy=None):
+        return ShardedEnforcer(
+            database=database, policy=policy, num_shards=2, keep_records=False
         )
-        enforcer = ShardedEnforcer(
+
+    direct = sharded(store.snapshot())
+    store.subscribe(direct, push=False)
+    replica = GatewayReplica(sharded(), store, name="gw")
+    store.subscribe_replica(replica)
+
+    def check_burst():
+        naive = PolicyEnforcer(
             database=database,
             policy=store.snapshot(),
-            num_shards=2,
+            compile_policy=False,
+            flow_cache_size=0,
             keep_records=False,
-            backend=backend,
         )
-        store.subscribe(enforcer, push=False)
-        enforcer.attach_control(store)
-        verdicts = []
-        for step in script:
-            if step == "burst":
-                batch = enforcer.process_batch_timed(packets)
-                verdicts.extend(verdict for verdict, _ in batch.results)
-            else:
-                apply_edit(store, step)
-        # A closing burst proves the workers converged on the final
-        # policy no matter where the script's last edit landed.
-        batch = enforcer.process_batch_timed(packets)
-        verdicts.extend(verdict for verdict, _ in batch.results)
-        stats = enforcer.aggregate_stats()
-        enforcer.close()
-        return verdicts, store.fingerprint(), stats
+        expected = [verdict for verdict, _ in naive.process_batch(packets)]
+        for enforcer in (direct, replica.enforcer):
+            batch = enforcer.process_batch_timed(packets)
+            assert [verdict for verdict, _ in batch.results] == expected
 
-    serial_verdicts, serial_fingerprint, _ = run("sequential")
-    pool_verdicts, pool_fingerprint, pool_stats = run("pool")
-    assert pool_verdicts == serial_verdicts
-    assert pool_fingerprint == serial_fingerprint
-    # Every edit travelled as a delta record, never a pickled snapshot.
-    assert pool_stats.pool_snapshot_syncs == 0
+    for step in script:
+        if step == "burst":
+            check_burst()
+        else:
+            apply_edit(store, step)
+    # A closing burst proves the shards converged on the final policy
+    # no matter where the script's last edit landed.
+    check_burst()
+    assert replica.version == store.version
+    assert replica.fingerprint() == store.fingerprint()

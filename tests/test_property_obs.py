@@ -1,13 +1,13 @@
 """Property-based tests (hypothesis) for the metrics merge algebra.
 
-The worker-pool fold depends on one invariant: **folding worker-local
-registry deltas into the parent is order-independent**.  Workers drain
-and ship deltas whenever a batch completes, so the parent sees them in
-whatever order the scheduler produced — and the merged registry must
-come out identical regardless.  Counters merge by addition, gauges by
-high-water maximum, histograms by elementwise bucket addition; all
-three are commutative and associative, and chunking a worker's stream
-into multiple drained deltas must change nothing either.
+Snapshot merging depends on one invariant: **folding registry
+snapshots into an aggregate is order-independent**.  Snapshots from
+separate processes or runs arrive in whatever order they were taken —
+and the merged registry must come out identical regardless.  Counters
+merge by addition, gauges by high-water maximum, histograms by
+elementwise bucket addition; all three are commutative and associative,
+and chunking a stream into multiple drained deltas must change nothing
+either.
 """
 
 import random
@@ -98,7 +98,7 @@ def test_chunked_drains_equal_one_shot_snapshots(streams, splits):
     parent = MetricsRegistry()
     for events in streams:
         registry = MetricsRegistry()
-        _apply(registry, ())  # register the families, as pool seeding does
+        _apply(registry, ())  # register the families up front
         parent.merge_snapshot(registry.drain())
         step = max(1, len(events) // splits) if events else 1
         for start in range(0, len(events), step):
