@@ -44,16 +44,6 @@ def _innermost_package(stack: Sequence[str]) -> str:
     return ""
 
 
-def _all_packages(stack: Sequence[str]) -> set[str]:
-    packages = set()
-    for signature in stack:
-        try:
-            packages.add(MethodSignature.parse(signature).package)
-        except ValueError:
-            continue
-    return packages
-
-
 @dataclass
 class AppIoIReport:
     """Per-app IoI findings."""

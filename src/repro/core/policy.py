@@ -29,6 +29,7 @@ The concrete grammar of the paper's Snippet 1 is supported verbatim::
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -96,31 +97,41 @@ def _normalise(text: str) -> str:
     return text.strip().strip("/").replace(".", "/")
 
 
-def match_level(target: str, signature: str) -> PolicyLevel | None:
-    """Highest granularity at which ``target`` matches ``signature``.
-
-    Returns None when the target does not match at all.  The target is
-    interpreted the way the paper's examples use it: a slash-separated
-    package/class prefix, or a full (possibly return-type-less) method
-    signature string.
-    """
+@functools.lru_cache(maxsize=1 << 16)  # one dex file's method-reference limit
+def _signature_parts(signature: str) -> tuple[str, str, str] | None:
+    """``(str(parsed), slash_class, library)`` of one signature string, or None."""
     try:
         parsed = MethodSignature.parse(signature)
     except ValueError:
         return None
+    return str(parsed), parsed.slash_class, parsed.library
+
+
+def match_level(target: str, signature: str) -> PolicyLevel | None:
+    """Highest granularity at which ``target`` matches ``signature``.
+
+    Returns None when the target does not match or the signature is
+    malformed.  Targets read as in the paper's examples: a slash-separated
+    package/class prefix, or a full (possibly return-type-less) method
+    signature.  Signature parses are memoised in a bounded LRU, since
+    compilation asks for every (rule, signature) pair.
+    """
+    parts = _signature_parts(signature)
+    if parts is None:
+        return None
+    rendered, slash_class, library = parts
     stripped_target = target.strip()
     # Method-level: the target is (a prefix of) the full signature string.
     if "->" in stripped_target:
-        if str(parsed).startswith(stripped_target.rstrip(";")) or str(parsed) == stripped_target:
+        if rendered.startswith(stripped_target.rstrip(";")) or rendered == stripped_target:
             return PolicyLevel.METHOD
         return None
     normalised_target = _normalise(stripped_target)
-    slash_class = parsed.slash_class
     if slash_class == normalised_target:
         return PolicyLevel.CLASS
-    if slash_class.startswith(normalised_target + "/") or parsed.library == normalised_target:
+    if slash_class.startswith(normalised_target + "/") or library == normalised_target:
         return PolicyLevel.LIBRARY
-    if parsed.library.startswith(normalised_target + "/"):
+    if library.startswith(normalised_target + "/"):
         return PolicyLevel.LIBRARY
     return None
 
@@ -406,9 +417,6 @@ class CompiledPolicy:
         compiled = None if entry is None else self._compile_entry(entry)
         self._apps[app_id] = compiled
         return compiled
-
-    def compiled_app_count(self) -> int:
-        return sum(1 for compiled in self._apps.values() if compiled is not None)
 
     def apply_delta(
         self, policy: Policy, changed_rules: tuple[PolicyRule, ...]

@@ -253,11 +253,6 @@ def _burst_wall(deployment, burst: list, auditor: FleetAuditor | None) -> float:
     return max(enforce_wall, collect_wall) + (time.perf_counter() - started)
 
 
-def _replay_wall(deployment, bursts: list[list], auditor: FleetAuditor | None) -> float:
-    """A whole replay's wall-clock: the sum of its burst walls."""
-    return sum(_burst_wall(deployment, burst, auditor) for burst in bursts)
-
-
 def _measure_overhead(
     gateways: int,
     shards_per_gateway: int,

@@ -13,9 +13,10 @@ worth and gets it to a human.
   first-match routing table over (kind, device group, severity) →
   page/ticket/log, fleet-level cooldown dedup, and escalation when one
   key keeps re-firing;
-* :mod:`repro.ops.baselines` — streaming calibration: EWMA moments and
-  P² quantiles per (device, destination) folded from live windows, so
-  exfiltration thresholds adapt online with no calibration replay;
+* :mod:`repro.ops.baselines` — streaming calibration: one flat EWMA
+  and P² quantile estimator per (device, destination) folded from live
+  windows, so exfiltration thresholds adapt online with no calibration
+  replay;
 * :mod:`repro.ops.federation` — fleet-federated detectors that re-merge
   the campaigns flow-hash routing splits across gateways (source-port
   rotation included), which per-gateway detectors provably miss;
@@ -26,10 +27,9 @@ worth and gets it to a human.
 """
 
 from repro.ops.baselines import (
-    EwmaStat,
+    BaselineEstimator,
     OnlineExfilBaselines,
     OnlineExfiltrationDetector,
-    P2Quantile,
 )
 from repro.ops.bus import (
     AlertBus,
@@ -53,15 +53,14 @@ __all__ = [
     "AlertBus",
     "AlertRouter",
     "AlertSink",
+    "BaselineEstimator",
     "EscalationPolicy",
-    "EwmaStat",
     "FleetFederation",
     "JsonlSpoolSink",
     "MemorySink",
     "OnlineExfilBaselines",
     "OnlineExfiltrationDetector",
     "OperatorControlPlane",
-    "P2Quantile",
     "RouteRule",
     "RoutingTable",
     "WebhookSink",

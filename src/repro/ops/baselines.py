@@ -7,12 +7,11 @@ multiply by a margin, replay again armed.  A real fleet cannot replay
 its own traffic; thresholds must come from the live stream.  This
 module learns them incrementally:
 
-* :class:`EwmaStat` — exponentially weighted mean and variance of a
-  sample stream (one multiply-add per sample, no history);
-* :class:`P2Quantile` — the Jain & Chlamtac P² algorithm: a streaming
-  quantile estimate from five markers, no stored samples;
-* :class:`OnlineExfilBaselines` — one (EWMA, P²) pair of estimators per
-  (device, destination), per device, and globally, folded from
+* :class:`BaselineEstimator` — EWMA mean and variance (no history) and
+  a Jain & Chlamtac P² quantile (five markers, no stored samples) in
+  one flat estimator with one straight-line update;
+* :class:`OnlineExfilBaselines` — one estimator per (device,
+  destination), per device, and globally, folded from
   completed :class:`~repro.telemetry.aggregate.SlidingWindowAggregator`
   windows.  The threshold for a pair is the most specific estimator
   with enough folds — pair, then device, then global — and ``inf``
@@ -30,6 +29,12 @@ sequence, so a fixed record stream — regardless of dict insertion
 order upstream — always produces identical baselines, thresholds and
 alerts.  The property tests shuffle ingestion order and assert exactly
 this.
+
+**Bit-identity.**  The flat estimator does the float operations of the
+textbook loop forms of EWMA and P², in their order, and a fold
+refreshes only the cached thresholds it touched (no other can change),
+so thresholds, snapshots and alerts match them to the last bit; a
+golden fold stream in the tests pins this.
 
 **Pollution resistance.**  A sample over the pair's current threshold
 is *winsorized* — folded as the threshold value, not its own (counted
@@ -49,141 +54,140 @@ from repro.netstack.netfilter import Verdict
 from repro.telemetry.detectors import Alert, Detector
 
 
-class EwmaStat:
-    """Exponentially weighted running mean and variance.
+class BaselineEstimator:
+    """One estimation unit: EWMA moments and a P² tail quantile, flat.
 
-    ``alpha`` is the weight of the newest sample.  The variance update
-    is the standard EWMA companion form
-    ``var = (1 - alpha) * (var + alpha * delta**2)`` — exact for the
-    first sample (variance 0) and O(1) per update.
+    ``alpha`` is the EWMA weight of the newest sample, with variance
+    ``var = (1 - alpha) * (var + alpha * delta**2)``.  The ``p``-quantile
+    is Jain & Chlamtac's P²: five markers (minimum, two intermediates,
+    the estimate, maximum) moved by parabolic, else linear, interpolation;
+    exact below six samples.  Both share one count, and the markers are
+    scalar slots, so :meth:`update` is straight-line code with the cell
+    search, position increments and interpolation steps unrolled (marker
+    0 sits at 1, marker 4 at ``count``).  Every float operation, and its
+    order, is that of the textbook loop forms.
     """
 
-    __slots__ = ("alpha", "mean", "var", "count")
+    __slots__ = ("alpha", "_decay", "mean", "var", "count", "p", "_warm", "_q0", "_q1", "_q2",
+                 "_q3", "_q4", "_n1", "_n2", "_n3", "_d1", "_d2", "_d3", "_dn1", "_dn2", "_dn3")
 
-    def __init__(self, alpha: float = 0.3) -> None:
+    def __init__(self, alpha: float = 0.3, p: float = 0.99) -> None:
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
+        if not 0.0 < p < 1.0:
+            raise ValueError("the quantile must be in (0, 1)")
         self.alpha = alpha
+        self._decay = 1.0 - alpha
         self.mean = 0.0
         self.var = 0.0
         self.count = 0
+        self.p = p
+        #: The first five samples, sorted; the markers start from them.
+        self._warm: list[float] = []
+        self._q0 = self._q1 = self._q2 = self._q3 = self._q4 = 0.0
+        self._n1, self._n2, self._n3 = 2, 3, 4
+        self._d1, self._d2, self._d3 = 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p
+        self._dn1, self._dn2, self._dn3 = p / 2.0, p, (1.0 + p) / 2.0
 
     def update(self, sample: float) -> None:
-        self.count += 1
-        if self.count == 1:
-            self.mean = float(sample)
-            self.var = 0.0
+        sample = float(sample)
+        count = self.count = self.count + 1
+        if count == 1:
+            self.mean = sample
+        else:
+            delta = sample - self.mean
+            increment = self.alpha * delta
+            self.mean += increment
+            self.var = self._decay * (self.var + delta * increment)
+        if count <= 5:
+            warm = self._warm
+            warm.append(sample)
+            warm.sort()
+            if count == 5:
+                self._q0, self._q1, self._q2, self._q3, self._q4 = warm
             return
-        delta = sample - self.mean
-        increment = self.alpha * delta
-        self.mean += increment
-        self.var = (1.0 - self.alpha) * (self.var + delta * increment)
+
+        q0, q1, q2, q3, q4 = self._q0, self._q1, self._q2, self._q3, self._q4
+        n1, n2, n3 = self._n1, self._n2, self._n3
+        # Locate the cell, extending the extremes when needed, and shift
+        # the positions of the markers above it (marker 4's is ``count``).
+        if sample < q0:
+            self._q0 = q0 = sample
+            n1, n2, n3 = n1 + 1, n2 + 1, n3 + 1
+        elif sample >= q4:
+            self._q4 = q4 = sample
+        elif sample >= q1:
+            if sample >= q2:
+                if sample < q3:
+                    n3 += 1
+            else:
+                n2, n3 = n2 + 1, n3 + 1
+        else:
+            n1, n2, n3 = n1 + 1, n2 + 1, n3 + 1
+        d1 = self._d1 = self._d1 + self._dn1
+        d2 = self._d2 = self._d2 + self._dn2
+        d3 = self._d3 = self._d3 + self._dn3
+
+        # Nudge each interior marker toward its desired position, in
+        # order: each one sees its neighbours' already-moved values.
+        drift = d1 - n1
+        if (drift >= 1.0 and n2 - n1 > 1) or (drift <= -1.0 and 1 - n1 < -1):
+            step = 1 if drift > 0 else -1
+            candidate = q1 + step / (n2 - 1) * (
+                (n1 - 1 + step) * (q2 - q1) / (n2 - n1)
+                + (n2 - n1 - step) * (q1 - q0) / (n1 - 1)
+            )
+            if not q0 < candidate < q2:
+                if step > 0:
+                    candidate = q1 + step * (q2 - q1) / (n2 - n1)
+                else:
+                    candidate = q1 + step * (q0 - q1) / (1 - n1)
+            q1 = candidate
+            n1 += step
+        drift = d2 - n2
+        if (drift >= 1.0 and n3 - n2 > 1) or (drift <= -1.0 and n1 - n2 < -1):
+            step = 1 if drift > 0 else -1
+            candidate = q2 + step / (n3 - n1) * (
+                (n2 - n1 + step) * (q3 - q2) / (n3 - n2)
+                + (n3 - n2 - step) * (q2 - q1) / (n2 - n1)
+            )
+            if not q1 < candidate < q3:
+                if step > 0:
+                    candidate = q2 + step * (q3 - q2) / (n3 - n2)
+                else:
+                    candidate = q2 + step * (q1 - q2) / (n1 - n2)
+            q2 = candidate
+            n2 += step
+        drift = d3 - n3
+        if (drift >= 1.0 and count - n3 > 1) or (drift <= -1.0 and n2 - n3 < -1):
+            step = 1 if drift > 0 else -1
+            candidate = q3 + step / (count - n2) * (
+                (n3 - n2 + step) * (q4 - q3) / (count - n3)
+                + (count - n3 - step) * (q3 - q2) / (n3 - n2)
+            )
+            if not q2 < candidate < q4:
+                if step > 0:
+                    candidate = q3 + step * (q4 - q3) / (count - n3)
+                else:
+                    candidate = q3 + step * (q2 - q3) / (n2 - n3)
+            q3 = candidate
+            n3 += step
+        self._q1, self._q2, self._q3 = q1, q2, q3
+        self._n1, self._n2, self._n3 = n1, n2, n3
 
     @property
     def std(self) -> float:
         return math.sqrt(self.var) if self.var > 0.0 else 0.0
 
-
-class P2Quantile:
-    """Streaming quantile estimation (Jain & Chlamtac's P² algorithm).
-
-    Tracks the ``p``-quantile of a stream with five markers — minimum,
-    two intermediates, the quantile estimate, maximum — adjusted per
-    sample by parabolic (falling back to linear) interpolation.  Exact
-    for the first five samples, O(1) memory and time after.
-    """
-
-    __slots__ = ("p", "_q", "_n", "_desired", "_dn", "count")
-
-    def __init__(self, p: float = 0.99) -> None:
-        if not 0.0 < p < 1.0:
-            raise ValueError("the quantile must be in (0, 1)")
-        self.p = p
-        self._q: list[float] = []
-        self._n = [1, 2, 3, 4, 5]
-        self._desired = [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0]
-        self._dn = [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0]
-        self.count = 0
-
-    def update(self, sample: float) -> None:
-        self.count += 1
-        q = self._q
-        if self.count <= 5:
-            q.append(float(sample))
-            q.sort()
-            return
-        n = self._n
-        # Locate the cell, extending the extremes when needed.
-        if sample < q[0]:
-            q[0] = float(sample)
-            cell = 0
-        elif sample >= q[4]:
-            q[4] = float(sample)
-            cell = 3
-        else:
-            cell = 0
-            while cell < 3 and sample >= q[cell + 1]:
-                cell += 1
-        for index in range(cell + 1, 5):
-            n[index] += 1
-        desired = self._desired
-        for index in range(5):
-            desired[index] += self._dn[index]
-        # Nudge interior markers toward their desired positions.
-        for index in (1, 2, 3):
-            drift = desired[index] - n[index]
-            if (drift >= 1.0 and n[index + 1] - n[index] > 1) or (
-                drift <= -1.0 and n[index - 1] - n[index] < -1
-            ):
-                step = 1 if drift > 0 else -1
-                candidate = self._parabolic(index, step)
-                if not q[index - 1] < candidate < q[index + 1]:
-                    candidate = self._linear(index, step)
-                q[index] = candidate
-                n[index] += step
-
-    def _parabolic(self, index: int, step: int) -> float:
-        q, n = self._q, self._n
-        return q[index] + step / (n[index + 1] - n[index - 1]) * (
-            (n[index] - n[index - 1] + step)
-            * (q[index + 1] - q[index])
-            / (n[index + 1] - n[index])
-            + (n[index + 1] - n[index] - step)
-            * (q[index] - q[index - 1])
-            / (n[index] - n[index - 1])
-        )
-
-    def _linear(self, index: int, step: int) -> float:
-        q, n = self._q, self._n
-        return q[index] + step * (q[index + step] - q[index]) / (n[index + step] - n[index])
-
     def value(self) -> float:
         """The current quantile estimate (exact below six samples)."""
-        q = self._q
-        if not q:
+        if self.count > 5:
+            return self._q2
+        warm = self._warm
+        if not warm:
             return 0.0
-        if self.count <= 5:
-            rank = max(0, min(len(q) - 1, math.ceil(self.p * len(q)) - 1))
-            return q[rank]
-        return q[2]
-
-
-class _Baseline:
-    """One estimation unit: EWMA moments plus a P² tail quantile."""
-
-    __slots__ = ("stat", "quantile")
-
-    def __init__(self, alpha: float, p: float) -> None:
-        self.stat = EwmaStat(alpha=alpha)
-        self.quantile = P2Quantile(p=p)
-
-    def update(self, sample: float) -> None:
-        self.stat.update(sample)
-        self.quantile.update(sample)
-
-    @property
-    def count(self) -> int:
-        return self.stat.count
+        rank = max(0, min(len(warm) - 1, math.ceil(self.p * len(warm)) - 1))
+        return warm[rank]
 
 
 class OnlineExfilBaselines:
@@ -202,7 +206,8 @@ class OnlineExfilBaselines:
 
     Thresholds change only at fold boundaries, so they are cached as
     plain floats; :meth:`threshold` is two dict probes worst-case and
-    safe inside the publish fast-path guard.
+    safe inside the publish fast-path guard.  A fold refreshes only the
+    entries it sampled; each sample's ceiling is the one before the fold.
     """
 
     def __init__(
@@ -226,10 +231,10 @@ class OnlineExfilBaselines:
         self.margin = margin
         self.floor = floor
         self.min_samples = min_samples
-        self._pairs: dict[tuple[str, str], _Baseline] = {}
-        self._devices: dict[str, _Baseline] = {}
-        self._global = _Baseline(alpha, p)
-        #: Cached thresholds, refreshed per fold.
+        self._pairs: dict[tuple[str, str], BaselineEstimator] = {}
+        self._devices: dict[str, BaselineEstimator] = {}
+        self._global = BaselineEstimator(alpha, p)
+        #: Cached thresholds, refreshed for what each fold touched.
         self._pair_cache: dict[tuple[str, str], float] = {}
         self._device_cache: dict[str, float] = {}
         self._global_cache = math.inf
@@ -254,47 +259,54 @@ class OnlineExfilBaselines:
         threshold are winsorized to it — an attack cannot calibrate
         itself in faster than the margin factor per fold.  The
         federation folds *merged* fleet-wide views through this same
-        entry point.
+        entry point.  Ceilings come from the previous fold's caches: a
+        pair's entry is refreshed right after its one sample, the touched
+        devices' and the global one after the loop.
         """
+        pairs, devices, global_baseline = self._pairs, self._devices, self._global
+        pair_cache, device_cache = self._pair_cache, self._device_cache
+        threshold_of, alpha, p, inf = self._threshold_of, self.alpha, self.p, math.inf
+        touched: dict[str, BaselineEstimator] = {}
+        samples = clamped = 0
         self.folds += 1
         for key, volume in sorted(volumes.items()):
             if volume <= 0:
                 continue
-            ceiling = self.threshold(key[0], key[1])
+            device_id = key[0]
+            ceiling = pair_cache.get(key, inf)
+            if ceiling is inf:
+                ceiling = device_cache.get(device_id, inf)
+                if ceiling is inf:
+                    ceiling = self._global_cache
             if volume > ceiling:
                 volume = ceiling
-                self.clamped += 1
-            self.samples += 1
-            pair = self._pairs.get(key)
+                clamped += 1
+            samples += 1
+            pair = pairs.get(key)
             if pair is None:
-                pair = self._pairs[key] = _Baseline(self.alpha, self.p)
+                pair = pairs[key] = BaselineEstimator(alpha, p)
             pair.update(volume)
-            device = self._devices.get(key[0])
+            pair_cache[key] = threshold_of(pair)
+            device = devices.get(device_id)
             if device is None:
-                device = self._devices[key[0]] = _Baseline(self.alpha, self.p)
+                device = devices[device_id] = BaselineEstimator(alpha, p)
             device.update(volume)
-            self._global.update(volume)
-        self._refresh_caches()
+            touched[device_id] = device
+            global_baseline.update(volume)
+        for device_id, device in touched.items():
+            device_cache[device_id] = threshold_of(device)
+        self._global_cache = threshold_of(global_baseline)
+        self.samples += samples
+        self.clamped += clamped
 
-    def _threshold_of(self, baseline: _Baseline) -> float:
+    def _threshold_of(self, baseline: BaselineEstimator) -> float:
         if baseline.count < self.min_samples:
             return math.inf
-        stat = baseline.stat
         return max(
             self.floor,
-            stat.mean + self.k_sigma * stat.std,
-            self.margin * baseline.quantile.value(),
+            baseline.mean + self.k_sigma * baseline.std,
+            self.margin * baseline.value(),
         )
-
-    def _refresh_caches(self) -> None:
-        self._global_cache = self._threshold_of(self._global)
-        self._device_cache = {
-            device: self._threshold_of(baseline)
-            for device, baseline in self._devices.items()
-        }
-        self._pair_cache = {
-            key: self._threshold_of(baseline) for key, baseline in self._pairs.items()
-        }
 
     # -- queries -----------------------------------------------------------------------
 

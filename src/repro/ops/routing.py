@@ -242,10 +242,6 @@ class AlertRouter:
         """
         return (alert.kind, alert.device, alert.dst_ip)
 
-    @property
-    def escalated_keys(self) -> set[tuple]:
-        return set(self._escalated)
-
     def routed(self) -> list[RoutedAlert]:
         """Every routing decision, in delivery order."""
         merged = self.pages + self.tickets + self.logs

@@ -199,10 +199,6 @@ class SlidingWindowAggregator:
     def window_volume(self, src_ip: str, dst_ip: str) -> int:
         return self.volumes.get((src_ip or "(unknown-device)", dst_ip), 0)
 
-    def window_policy_drops(self, src_ip: str, app: str) -> int:
-        """Policy denials for one (device, app) pair inside the window."""
-        return self.policy_drops.get((src_ip or "(unknown-device)", app), 0)
-
     def window_stats(self) -> dict[str, dict[str, WindowStats]]:
         """The full per-device / per-app / per-gateway window tables.
 

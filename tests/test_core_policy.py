@@ -9,10 +9,15 @@ from repro.core.policy import (
     PolicyLevel,
     PolicyParseError,
     PolicyRule,
+    _signature_parts,
     match_level,
     parse_policy,
 )
+from repro.dex.signature import MethodSignature
 from repro.netstack.netfilter import Verdict
+from repro.workloads.apps import build_box_like_app, build_calendar_app, build_cloud_storage_app
+from repro.workloads.corpus import CorpusConfig, CorpusGenerator
+from repro.workloads.libraries import builtin_catalog
 
 FLURRY_SIG = "Lcom/flurry/sdk/FlurryAgent;->onEvent(Ljava/lang/String;)V"
 APP_SIG = "Lcom/example/app/MainActivity;->onClick(Landroid/view/View;)V"
@@ -48,6 +53,75 @@ class TestMatchLevel:
 
     def test_levels_are_ordered(self):
         assert PolicyLevel.HASH < PolicyLevel.LIBRARY < PolicyLevel.CLASS < PolicyLevel.METHOD
+
+
+def _unmemoised_match_level(target, signature):
+    """The match computed straight from a fresh parse (no memo)."""
+    try:
+        parsed = MethodSignature.parse(signature)
+    except ValueError:
+        return None
+    stripped = target.strip()
+    if "->" in stripped:
+        rendered = str(parsed)
+        if rendered.startswith(stripped.rstrip(";")) or rendered == stripped:
+            return PolicyLevel.METHOD
+        return None
+    normalised = stripped.strip("/").replace(".", "/")
+    if parsed.slash_class == normalised:
+        return PolicyLevel.CLASS
+    if (
+        parsed.slash_class.startswith(normalised + "/")
+        or parsed.library == normalised
+        or parsed.library.startswith(normalised + "/")
+    ):
+        return PolicyLevel.LIBRARY
+    return None
+
+
+class TestMatchLevelMemo:
+    @pytest.fixture(scope="class")
+    def corpus_signatures(self):
+        apks = [app.apk for app in CorpusGenerator(CorpusConfig(n_apps=6, seed=5)).generate()]
+        apks += [
+            build().apk
+            for build in (build_cloud_storage_app, build_box_like_app, build_calendar_app)
+        ]
+        return sorted(
+            {str(signature) for apk in apks for signature in apk.merged_dex().method_signatures()}
+        )
+
+    def test_memo_matches_a_fresh_parse_for_every_target_and_signature(self, corpus_signatures):
+        targets = {profile.slash_package for profile in builtin_catalog()}
+        targets |= {profile.package for profile in builtin_catalog()}
+        for signature in corpus_signatures:
+            parsed = MethodSignature.parse(signature)
+            targets |= {parsed.library, parsed.slash_class, signature, signature.rstrip(";")}
+        targets |= {"com/flur", "com", "/com/flurry/", "Lcom/nothing;->x()V"}
+        signatures = corpus_signatures + ["garbage", "", "Lcom/broken;->"]
+        seen = set()
+        for target in sorted(targets):
+            for signature in signatures:
+                level = match_level(target, signature)
+                assert level is _unmemoised_match_level(target, signature), (target, signature)
+                seen.add(level)
+        assert seen == {None, PolicyLevel.LIBRARY, PolicyLevel.CLASS, PolicyLevel.METHOD}
+
+    def test_malformed_signature_is_none_on_every_call(self):
+        malformed = "Lcom/example/Broken;->never-seen-before"
+        assert match_level("com/example", malformed) is None
+        assert match_level("com/example", malformed) is None
+        assert match_level("com/example/Broken", malformed) is None
+
+    def test_memo_is_bounded(self):
+        maxsize = _signature_parts.cache_info().maxsize
+        assert maxsize is not None
+        try:
+            for index in range(maxsize + 100):
+                match_level("com/example", f"not a signature {index}")
+            assert _signature_parts.cache_info().currsize == maxsize
+        finally:
+            _signature_parts.cache_clear()
 
 
 class TestPolicyRuleSemantics:
